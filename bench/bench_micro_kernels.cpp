@@ -11,7 +11,10 @@
  * The SIMD-vs-scalar benches run each kernel twice (Arg 0 = scalar
  * reference via simd::forceScalarKernels, Arg 1 = the dispatched
  * vector path), and the Char-LIKE benches add the dictionary-code
- * variant vs the raw byte-match path. Results land in
+ * variant vs the raw byte-match path. The group-table rows time the
+ * FlatTable family against the node-based map it replaced (grouped
+ * accumulate of 64Ki rows into ~20k groups, and the find path).
+ * Results land in
  * BENCH_micro.json (rows/s per kernel and variant), archived by CI
  * next to BENCH_fig9a/9b.json.
  */
@@ -23,6 +26,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -33,6 +37,7 @@
 #include "format/row_codec.hpp"
 #include "olap/batch.hpp"
 #include "olap/expr.hpp"
+#include "olap/flat_table.hpp"
 #include "olap/simd_kernels.hpp"
 #include "pim/pim_unit.hpp"
 #include "storage/table_store.hpp"
@@ -552,7 +557,6 @@ BM_FlatKeySetProbe(benchmark::State &state)
     setKernelVariant(state);
     Rng rng(19);
     olap::simd::FlatKeySet set;
-    set.reserve(1 << 15);
     for (int i = 0; i < (1 << 15); ++i) {
         olap::InlineKey k;
         k.n = 1;
@@ -615,6 +619,139 @@ BM_UnorderedSetProbe(benchmark::State &state)
         olap::kMorselRows);
 }
 BENCHMARK(BM_UnorderedSetProbe);
+
+/** Grouped-aggregation input shared by the group-table rows: 64Ki
+ *  single-int group keys over about 20k distinct groups (Q11's
+ *  shape) and one value per row. */
+struct GroupInput
+{
+    static constexpr std::size_t kRows = 1 << 16;
+    static constexpr std::int64_t kGroups = 20'000;
+
+    GroupInput()
+    {
+        Rng rng(23);
+        keys.resize(kRows);
+        vals.resize(kRows);
+        for (std::size_t i = 0; i < kRows; ++i) {
+            keys[i] = static_cast<std::int64_t>(rng.below(kGroups));
+            vals[i] = static_cast<std::int64_t>(rng.below(1000));
+        }
+    }
+
+    std::vector<std::int64_t> keys, vals;
+};
+
+void
+BM_GroupAccumulateFlat(benchmark::State &state)
+{
+    // The batch engine's group table: keys, one Sum slot and the
+    // count in dense per-partition arrays behind a uint32 index.
+    state.SetLabel("flat");
+    const GroupInput in;
+    for (auto _ : state) {
+        olap::FlatTable t(1, {0});
+        for (std::size_t i = 0; i < GroupInput::kRows; ++i) {
+            const std::uint64_t h = olap::hashKey(&in.keys[i], 1);
+            auto &part = t.part(olap::partitionOf(h));
+            const auto e = part.findOrInsert(&in.keys[i], h);
+            part.slots(e)[0] += in.vals[i];
+            ++part.count(e);
+        }
+        benchmark::DoNotOptimize(t.size());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * GroupInput::kRows));
+}
+BENCHMARK(BM_GroupAccumulateFlat);
+
+void
+BM_GroupAccumulateNodeMap(benchmark::State &state)
+{
+    // The node-based map with a heap vector per group that the
+    // group, subquery and build sites used before the flat table.
+    state.SetLabel("stdhash");
+    const GroupInput in;
+    struct Accum
+    {
+        std::vector<std::int64_t> aggs;
+        std::uint64_t count = 0;
+    };
+    for (auto _ : state) {
+        std::unordered_map<olap::InlineKey, Accum, olap::InlineKeyHash>
+            m;
+        olap::InlineKey k;
+        k.n = 1;
+        for (std::size_t i = 0; i < GroupInput::kRows; ++i) {
+            k.v[0] = in.keys[i];
+            auto &acc = m[k];
+            if (acc.count == 0)
+                acc.aggs.assign(1, 0);
+            acc.aggs[0] += in.vals[i];
+            ++acc.count;
+        }
+        benchmark::DoNotOptimize(m.size());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * GroupInput::kRows));
+}
+BENCHMARK(BM_GroupAccumulateNodeMap);
+
+void
+BM_GroupFindFlat(benchmark::State &state)
+{
+    // The subquery-probe path: one slot lookup per row against a
+    // built 20k-group table, about half the probes missing.
+    state.SetLabel("flat");
+    const GroupInput in;
+    olap::FlatTable t(1, {0});
+    for (std::int64_t g = 0; g < GroupInput::kGroups; g += 2) {
+        const std::uint64_t h = olap::hashKey(&g, 1);
+        t.part(olap::partitionOf(h)).findOrInsert(&g, h);
+    }
+    olap::InlineKey k;
+    k.n = 1;
+    for (auto _ : state) {
+        std::int64_t sum = 0;
+        for (std::size_t i = 0; i < GroupInput::kRows; ++i) {
+            k.v[0] = in.keys[i];
+            const auto *slots = t.findSlots(k);
+            sum += slots == nullptr ? 0 : slots[0] + 1;
+        }
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * GroupInput::kRows));
+}
+BENCHMARK(BM_GroupFindFlat);
+
+void
+BM_GroupFindNodeMap(benchmark::State &state)
+{
+    state.SetLabel("stdhash");
+    const GroupInput in;
+    std::unordered_map<olap::InlineKey, std::vector<std::int64_t>,
+                       olap::InlineKeyHash>
+        m;
+    olap::InlineKey k;
+    k.n = 1;
+    for (std::int64_t g = 0; g < GroupInput::kGroups; g += 2) {
+        k.v[0] = g;
+        m.emplace(k, std::vector<std::int64_t>(1, 0));
+    }
+    for (auto _ : state) {
+        std::int64_t sum = 0;
+        for (std::size_t i = 0; i < GroupInput::kRows; ++i) {
+            k.v[0] = in.keys[i];
+            const auto it = m.find(k);
+            sum += it == m.end() ? 0 : it->second[0] + 1;
+        }
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * GroupInput::kRows));
+}
+BENCHMARK(BM_GroupFindNodeMap);
 
 void
 BM_HashIndexLookup(benchmark::State &state)

@@ -30,12 +30,12 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
 #include "format/layout.hpp"
 #include "olap/expr.hpp"
+#include "olap/flat_table.hpp"
 #include "storage/table_store.hpp"
 
 namespace pushtap::olap {
@@ -194,79 +194,21 @@ class BatchColumnReader
 };
 
 /**
- * Inline composite key: join, group and subquery keys hashed as
- * whole int tuples (no per-row byte-string building). Capacity
- * bounds the batch engine; wider plans fall back to the scalar
- * executor.
- */
-struct InlineKey
-{
-    static constexpr std::size_t kMaxKeys = 8;
-
-    std::array<std::int64_t, kMaxKeys> v{};
-    std::uint32_t n = 0;
-
-    bool
-    operator==(const InlineKey &o) const
-    {
-        if (n != o.n)
-            return false;
-        for (std::uint32_t i = 0; i < n; ++i)
-            if (v[i] != o.v[i])
-                return false;
-        return true;
-    }
-
-    /** Lexicographic over the used slots (== std::map<vector> order
-     *  of the scalar executor when every key has the same arity). */
-    bool
-    operator<(const InlineKey &o) const
-    {
-        for (std::uint32_t i = 0; i < n && i < o.n; ++i)
-            if (v[i] != o.v[i])
-                return v[i] < o.v[i];
-        return n < o.n;
-    }
-};
-
-struct InlineKeyHash
-{
-    std::size_t
-    operator()(const InlineKey &k) const
-    {
-        // SplitMix64-style mixing per component, FNV-style fold.
-        std::uint64_t h = 0x9e3779b97f4a7c15ull + k.n;
-        for (std::uint32_t i = 0; i < k.n; ++i) {
-            std::uint64_t x = static_cast<std::uint64_t>(k.v[i]);
-            x ^= x >> 30;
-            x *= 0xbf58476d1ce4e5b9ull;
-            x ^= x >> 27;
-            x *= 0x94d049bb133111ebull;
-            x ^= x >> 31;
-            h = (h ^ x) * 0x100000001b3ull;
-        }
-        return static_cast<std::size_t>(h);
-    }
-};
-
-/**
- * One materialized scalar subquery (SubquerySpec): per-group-key
- * aggregate values, probed read-only by every worker during the
- * main pipeline. A key with no group evaluates to 0 in every slot
- * (the IR's missing-group semantics).
+ * One materialized scalar subquery (SubquerySpec): the merged
+ * per-group-key aggregate table (one slot per subquery aggregate),
+ * probed read-only by every worker during the main pipeline. A key
+ * with no group evaluates to 0 in every slot (the IR's missing-group
+ * semantics).
  */
 struct SubqueryResult
 {
-    std::unordered_map<InlineKey, std::vector<std::int64_t>,
-                       InlineKeyHash>
-        groups;
-    std::size_t slots = 0; ///< Aggregate count per group.
+    FlatTable groups;
 
     std::int64_t
     value(const InlineKey &key, std::size_t slot) const
     {
-        const auto it = groups.find(key);
-        return it == groups.end() ? 0 : it->second[slot];
+        const std::int64_t *s = groups.findSlots(key);
+        return s == nullptr ? 0 : s[slot];
     }
 };
 

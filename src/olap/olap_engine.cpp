@@ -345,10 +345,17 @@ OlapEngine::prepareSnapshot(Timestamp ts)
             snapshotTable(i);
     }
     TimeNs total = cfg_.snapshotFixedNs;
-    for (const auto &st : stats)
+    mvcc::SnapshotStats merged;
+    for (const auto &st : stats) {
         total += busTime(st.metadataBytesRead) +
                  busTime(st.bitmapBytesWritten);
-    lastSnapshot_ = stats.back();
+        merged.versionsScanned += st.versionsScanned;
+        merged.versionsSkipped += st.versionsSkipped;
+        merged.bitsFlipped += st.bitsFlipped;
+        merged.metadataBytesRead += st.metadataBytesRead;
+        merged.bitmapBytesWritten += st.bitmapBytesWritten;
+    }
+    lastSnapshot_ = merged;
     pendingConsistency_ += total;
     return total;
 }
@@ -990,7 +997,7 @@ OlapEngine::runQueryIncremental(const QueryPlan &plan,
     // is a commutative, associative fold, so the merged state — and
     // therefore the materialized rows — is byte-identical to a cold
     // run over the union of baseline and delta rows.
-    foldGroups(plan, entry.groups, exec.groups);
+    foldGroups(plan, entry.groups, exec.groups, pool_.get());
     entry.rowsVisible += exec.rowsVisible;
     entry.result = materializeGroups(plan, entry.groups);
     rep.rowsVisible = entry.rowsVisible;

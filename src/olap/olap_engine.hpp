@@ -352,7 +352,7 @@ class OlapEngine
         return lastDefrag_;
     }
 
-    /** Last snapshot pass statistics. */
+    /** Last snapshot pass statistics, summed over every table. */
     const mvcc::SnapshotStats &lastSnapshotStats() const
     {
         return lastSnapshot_;

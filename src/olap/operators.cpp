@@ -11,7 +11,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -124,7 +123,7 @@ accumulateValue(Accum &acc, std::size_t slot, AggKind kind,
     }
 }
 
-/** Shared tail of both executors: plan.orderBy then plan.limit. */
+/** The scalar executor's tail: plan.orderBy then plan.limit. */
 void
 sortAndLimit(PlanExecution &out, const QueryPlan &plan)
 {
@@ -440,9 +439,16 @@ materializeSubqueriesScalar(const txn::Database &db,
             ++acc.count;
         });
 
-        out[s].slots = spec.aggs.size();
-        for (auto &[key, acc] : groups)
-            out[s].groups.emplace(key, std::move(acc.aggs));
+        out[s].groups = FlatTable(
+            static_cast<std::uint32_t>(spec.groupBy.size()),
+            std::vector<std::int64_t>(spec.aggs.size(), 0));
+        for (const auto &[key, acc] : groups) {
+            const std::uint64_t h = hashKey(key.v.data(), key.n);
+            auto &part = out[s].groups.part(partitionOf(h));
+            const auto e = part.findOrInsert(key.v.data(), h);
+            std::copy(acc.aggs.begin(), acc.aggs.end(), part.slots(e));
+            part.count(e) = acc.count;
+        }
     }
     return out;
 }
@@ -614,9 +620,6 @@ executeScalarImpl(const txn::Database &db, const QueryPlan &plan)
 // Morsel-driven batch executor.
 // ==================================================================
 
-// InlineKey / InlineKeyHash moved to olap/batch.hpp: the subquery
-// lookup tables (SubqueryResult) key on them, so both executors and
-// the kernel layer share one definition.
 static_assert(InlineKey::kMaxKeys >= kMaxSubqueryGroupKeys,
               "subquery group keys must fit the inline key");
 
@@ -926,24 +929,223 @@ class BatchPredicates
     MorselExprContext ctx_;
 };
 
-/** Fold @p from into @p into per the specs' aggregate kinds (the
- *  cross-worker merge; every step is commutative AND associative —
- *  wrapping sum, min, max, count — so neither the shard-to-worker
- *  assignment nor the merge order can show in the folded values.
- *  The merge still runs in worker order for good measure). Works
- *  over top-level AggSpec and SubqueryAgg alike. */
+/** Aggregate kinds of a spec list (top-level AggSpec or
+ *  SubqueryAgg), in slot order. */
 template <typename SpecT>
-void
-combineAccum(const std::vector<SpecT> &specs, Accum &into,
-             const Accum &from)
+std::vector<AggKind>
+aggKinds(const std::vector<SpecT> &specs)
 {
-    if (from.count == 0)
-        return;
-    if (into.count == 0)
-        into.aggs.assign(specs.size(), 0);
-    for (std::size_t a = 0; a < specs.size(); ++a)
-        accumulateValue(into, a, specs[a].kind, from.aggs[a]);
-    into.count += from.count;
+    std::vector<AggKind> kinds;
+    kinds.reserve(specs.size());
+    for (const auto &a : specs)
+        kinds.push_back(a.kind);
+    return kinds;
+}
+
+/** Accumulator slot a group starts from: the identity of its fold
+ *  (Sum 0, Min +inf, Max -inf), so updates and merges need no
+ *  first-value check. Only count > 0 groups are ever read back. */
+inline std::int64_t
+idleValue(AggKind kind)
+{
+    switch (kind) {
+      case AggKind::Min:
+        return std::numeric_limits<std::int64_t>::max();
+      case AggKind::Max:
+        return std::numeric_limits<std::int64_t>::min();
+      case AggKind::Sum:
+        break;
+    }
+    return 0;
+}
+
+/** Fold one value (or another partial) into an accumulator slot. */
+inline void
+foldSlot(AggKind kind, std::int64_t &slot, std::int64_t v)
+{
+    switch (kind) {
+      case AggKind::Sum:
+        slot = wrapAdd(slot, v);
+        break;
+      case AggKind::Min:
+        slot = std::min(slot, v);
+        break;
+      case AggKind::Max:
+        slot = std::max(slot, v);
+        break;
+    }
+}
+
+/** Empty group table over @p key_width-int keys, one idle slot per
+ *  aggregate kind. */
+FlatTable
+makeGroupTable(std::size_t key_width, const std::vector<AggKind> &kinds)
+{
+    std::vector<std::int64_t> init;
+    init.reserve(kinds.size());
+    for (const auto k : kinds)
+        init.push_back(idleValue(k));
+    return FlatTable(static_cast<std::uint32_t>(key_width),
+                     std::move(init));
+}
+
+/** Entries below which a merge stays on the calling thread: waking
+ *  the pool costs more than folding a few thousand groups. */
+constexpr std::size_t kParallelMergeEntries = 4096;
+
+/**
+ * The one cross-worker merge: fold every table of @p from into
+ * @p into, partition by partition. Partitions are disjoint key
+ * ranges, so each is one independent task on @p pool. Every fold
+ * step is commutative and associative (wrapping sum, min, max,
+ * count), so neither the worker split nor the merge order can show
+ * in the folded values.
+ */
+void
+mergeTables(const std::vector<AggKind> &kinds, FlatTable &into,
+            const std::vector<const FlatTable *> &from,
+            WorkerPool *pool)
+{
+    const std::uint32_t kw = into.keyWidth();
+    auto mergePart = [&](std::size_t p) {
+        auto &dst = into.part(p);
+        std::size_t bound = dst.size();
+        for (const auto *t : from)
+            bound += t->part(p).size();
+        dst.reserve(bound);
+        for (const auto *t : from) {
+            const auto &src = t->part(p);
+            for (std::uint32_t e = 0; e < src.size(); ++e) {
+                const std::int64_t *key = src.key(e);
+                const auto d = dst.findOrInsert(key, hashKey(key, kw));
+                std::int64_t *slots = dst.slots(d);
+                const std::int64_t *add = src.slots(e);
+                for (std::size_t a = 0; a < kinds.size(); ++a)
+                    foldSlot(kinds[a], slots[a], add[a]);
+                dst.count(d) += src.count(e);
+            }
+        }
+    };
+    std::size_t entries = 0;
+    for (const auto *t : from)
+        entries += t->size();
+    if (pool && pool->workers() > 1 &&
+        entries >= kParallelMergeEntries) {
+        pool->parallelFor(kTablePartitions,
+                          [&](std::uint32_t, std::size_t p) {
+                              mergePart(p);
+                          });
+    } else {
+        for (std::size_t p = 0; p < kTablePartitions; ++p)
+            mergePart(p);
+    }
+}
+
+/** Add one row to @p key's group in @p t: slot a folds val(a). */
+template <typename ValFn>
+inline void
+accumulateGroup(FlatTable &t, const InlineKey &key,
+                const std::vector<AggKind> &kinds, ValFn &&val)
+{
+    const std::uint64_t h = hashKey(key.v.data(), key.n);
+    auto &part = t.part(partitionOf(h));
+    const auto e = part.findOrInsert(key.v.data(), h);
+    std::int64_t *slots = part.slots(e);
+    for (std::size_t a = 0; a < kinds.size(); ++a)
+        foldSlot(kinds[a], slots[a], val(a));
+    ++part.count(e);
+}
+
+/**
+ * The one materialization tail (executeBatchImpl, materializeGroups):
+ * the ungrouped zero placeholder when an ungrouped plan produced no
+ * group; otherwise an index permutation sorted over flat sort keys —
+ * the ORDER BY values, then the group key ascending, so ORDER BY ties
+ * keep ascending key order — cut to plan.limit by partial_sort, with
+ * ResultRows built only for the rows kept. Keys are unique, so this
+ * is a strict total order and the rows are byte-identical to
+ * ascending-key materialization followed by a stable ORDER BY sort
+ * and the LIMIT cut.
+ */
+QueryResult
+materializeTable(const QueryPlan &plan, const FlatTable &groups)
+{
+    QueryResult res;
+    const std::size_t n = groups.size();
+    const std::size_t na = plan.aggregates.size();
+    if (n == 0) {
+        if (plan.groupBy.empty())
+            res.rows.push_back(
+                ResultRow{{}, std::vector<std::int64_t>(na, 0), 0});
+        return res;
+    }
+    const std::uint32_t kw = groups.keyWidth();
+    const std::size_t nsk = plan.orderBy.size();
+    const std::size_t stride = nsk + kw;
+    struct Group
+    {
+        const std::int64_t *key;
+        const std::int64_t *slots;
+        std::uint64_t count;
+    };
+    std::vector<Group> ents;
+    ents.reserve(n);
+    std::vector<std::int64_t> sk(n * stride);
+    for (std::size_t p = 0; p < kTablePartitions; ++p) {
+        const auto &part = groups.part(p);
+        for (std::uint32_t e = 0; e < part.size(); ++e) {
+            const Group g{part.key(e), part.slots(e), part.count(e)};
+            std::int64_t *row = sk.data() + ents.size() * stride;
+            for (std::size_t j = 0; j < nsk; ++j) {
+                const auto &o = plan.orderBy[j];
+                switch (o.target) {
+                  case SortKey::Target::GroupKey:
+                    row[j] = g.key[o.index];
+                    break;
+                  case SortKey::Target::Aggregate:
+                    row[j] = g.slots[o.index];
+                    break;
+                  case SortKey::Target::Count:
+                    row[j] = static_cast<std::int64_t>(g.count);
+                    break;
+                }
+            }
+            std::copy(g.key, g.key + kw, row + nsk);
+            ents.push_back(g);
+        }
+    }
+    std::vector<char> desc(stride, 0);
+    for (std::size_t j = 0; j < nsk; ++j)
+        desc[j] = plan.orderBy[j].descending ? 1 : 0;
+    std::vector<std::uint32_t> perm(n);
+    for (std::uint32_t i = 0; i < n; ++i)
+        perm[i] = i;
+    const auto less = [&](std::uint32_t a, std::uint32_t b) {
+        const std::int64_t *x = sk.data() + a * stride;
+        const std::int64_t *y = sk.data() + b * stride;
+        for (std::size_t j = 0; j < stride; ++j)
+            if (x[j] != y[j])
+                return desc[j] ? x[j] > y[j] : x[j] < y[j];
+        return false;
+    };
+    const std::size_t keep =
+        plan.limit == 0 ? n : std::min<std::size_t>(n, plan.limit);
+    if (keep < n)
+        std::partial_sort(perm.begin(),
+                          perm.begin() +
+                              static_cast<std::ptrdiff_t>(keep),
+                          perm.end(), less);
+    else
+        std::sort(perm.begin(), perm.end(), less);
+    res.rows.reserve(keep);
+    for (std::size_t i = 0; i < keep; ++i) {
+        const Group &g = ents[perm[i]];
+        res.rows.push_back(
+            ResultRow{std::vector<std::int64_t>(g.key, g.key + kw),
+                      std::vector<std::int64_t>(g.slots, g.slots + na),
+                      g.count});
+    }
+    return res;
 }
 
 /**
@@ -978,9 +1180,10 @@ forEachMorselInScanTask(const storage::ShardMap &smap,
  * probe, group keys decode once per morsel, and aggregate-input
  * expressions evaluate column-at-a-time. Sharded over the worker
  * pool like a probe pipeline: each worker drains whole scan tasks
- * (shard x region ranges of the source table) into private partial
- * group accumulators, merged per group in worker order. Exact
- * integer folds, commutative and associative, so the result is
+ * (shard x region ranges of the source table) into a private partial
+ * group table, and the partials fold partition by partition
+ * (mergeTables) straight into the SubqueryResult the probes read.
+ * Exact integer folds, commutative and associative, so the result is
  * identical to materializeSubqueriesScalar for every workers x
  * shards split.
  */
@@ -998,11 +1201,14 @@ materializeSubqueriesBatch(const txn::Database &db,
         /** Per-worker scan state: private readers, predicate chain
          *  and partial group accumulators (built lazily on the
          *  worker's first claimed task). */
+        const auto kinds = aggKinds(spec.aggs);
         struct SubWorker
         {
             SubWorker(const storage::TableStore &st,
-                      const SubquerySpec &sp)
-                : preds(st, sp.source), ctx(st, nullptr, nullptr)
+                      const SubquerySpec &sp,
+                      const std::vector<AggKind> &kinds)
+                : preds(st, sp.source), ctx(st, nullptr, nullptr),
+                  groups(makeGroupTable(sp.groupBy.size(), kinds))
             {
                 for (const auto &col : sp.groupBy)
                     keyRd.emplace_back(st, col);
@@ -1018,8 +1224,7 @@ materializeSubqueriesBatch(const txn::Database &db,
             SelectionVector sel;
             std::vector<ColumnBatch> keys;
             std::vector<std::vector<std::int64_t>> vals;
-            std::unordered_map<InlineKey, Accum, InlineKeyHash>
-                groups;
+            FlatTable groups;
         };
 
         const storage::ShardMap smap = tbl.shardMap(opts.shards);
@@ -1028,7 +1233,7 @@ materializeSubqueriesBatch(const txn::Database &db,
         std::vector<std::optional<SubWorker>> states(nworkers);
         auto stateFor = [&](std::uint32_t w) -> SubWorker & {
             if (!states[w])
-                states[w].emplace(store, spec);
+                states[w].emplace(store, spec, kinds);
             return *states[w];
         };
 
@@ -1048,13 +1253,10 @@ materializeSubqueriesBatch(const txn::Database &db,
             for (std::size_t i = 0; i < st.sel.size(); ++i) {
                 for (std::size_t c = 0; c < st.keyRd.size(); ++c)
                     key.v[c] = st.keys[c].ints[i];
-                auto &acc = st.groups[key];
-                if (acc.count == 0)
-                    acc.aggs.assign(spec.aggs.size(), 0);
-                for (std::size_t a = 0; a < spec.aggs.size(); ++a)
-                    accumulateValue(acc, a, spec.aggs[a].kind,
-                                    st.vals[a][i]);
-                ++acc.count;
+                accumulateGroup(st.groups, key, kinds,
+                                [&](std::size_t a) {
+                                    return st.vals[a][i];
+                                });
             }
         };
 
@@ -1075,17 +1277,13 @@ materializeSubqueriesBatch(const txn::Database &db,
                     });
         }
 
-        std::unordered_map<InlineKey, Accum, InlineKeyHash> groups;
-        for (auto &st : states) {
-            if (!st)
-                continue;
-            for (auto &[key, acc] : st->groups)
-                combineAccum(spec.aggs, groups[key], acc);
-        }
-
-        out[s].slots = spec.aggs.size();
-        for (auto &[key, acc] : groups)
-            out[s].groups.emplace(key, std::move(acc.aggs));
+        auto &merged = stateFor(0).groups;
+        std::vector<const FlatTable *> partials;
+        for (std::size_t w = 1; w < states.size(); ++w)
+            if (states[w])
+                partials.push_back(&states[w]->groups);
+        mergeTables(kinds, merged, partials, pool);
+        out[s].groups = std::move(merged);
     }
     return out;
 }
@@ -1173,42 +1371,34 @@ class RefVecExprContext final : public BatchExprContext
         likes_;
 };
 
-/** Hash-partition count of the parallel join builds (power of
- *  two): enough partitions to keep every pool worker busy through
- *  the stitch phase without fragmenting small build sides. */
-constexpr std::size_t kBuildPartitions = 16;
-
-/** Partition of an inline key: the top bits of the same hash the
- *  bucket maps use, so partitioning never correlates with
- *  in-partition bucket placement. */
-inline std::size_t
-buildPartitionOf(const InlineKey &k)
-{
-    return InlineKeyHash{}(k) >> 60 & (kBuildPartitions - 1);
-}
-
 /**
- * One join's built hash table over inline keys, hash-partitioned
- * for the parallel build: payload buckets for inner joins (probed
- * through find()), with semi/anti existence keys flattened into a
- * simd::FlatKeySet by the caller instead. Built once by the
- * partitioned parallel build, then probed strictly read-only by
+ * One inner join's built hash table: a FlatTable whose slot 0 holds
+ * each key's first tuple in its partition's contiguous payload array
+ * (payw ints per tuple) and whose count holds the key's tuple count.
+ * A key's tuples sit in the serial scan's row order. Built once by
+ * the partitioned parallel build, then probed strictly read-only by
  * every worker.
  */
 struct BatchBuildSide
 {
-    using Bucket = std::vector<std::vector<std::int64_t>>;
+    FlatTable table;
+    std::array<std::vector<std::int64_t>, kTablePartitions> payload;
+    std::size_t payw = 0;
 
-    std::array<std::unordered_map<InlineKey, Bucket, InlineKeyHash>,
-               kBuildPartitions>
-        parts;
-
-    const Bucket *
+    /** First matching tuple and the match count ({nullptr, 0} when
+     *  @p k has no match). */
+    std::pair<const std::int64_t *, std::uint64_t>
     find(const InlineKey &k) const
     {
-        const auto &m = parts[buildPartitionOf(k)];
-        const auto it = m.find(k);
-        return it == m.end() ? nullptr : &it->second;
+        const std::uint64_t h = hashKey(k.v.data(), k.n);
+        const std::size_t p = partitionOf(h);
+        const auto &part = table.part(p);
+        const auto e = part.find(k.v.data(), h);
+        if (e == FlatTable::kNone)
+            return {nullptr, 0};
+        return {payload[p].data() +
+                    static_cast<std::size_t>(part.slots(e)[0]) * payw,
+                part.count(e)};
     }
 };
 
@@ -1225,7 +1415,7 @@ struct BatchRef
  * value domain stays small (Q1's ol_number, Q9-style warehouse ids):
  * accumulators are flat arrays indexed by (key - lo), updated
  * column-at-a-time with no per-row hashing. Falls back (spills to
- * the hash map) when the observed domain exceeds kMaxDomain.
+ * the group table) when the observed domain exceeds kMaxDomain.
  */
 class DenseGroupAggregator
 {
@@ -1233,9 +1423,8 @@ class DenseGroupAggregator
     static constexpr std::int64_t kMaxDomain = 4096;
 
     explicit DenseGroupAggregator(const std::vector<AggSpec> &specs)
+        : kinds_(aggKinds(specs))
     {
-        for (const auto &a : specs)
-            kinds_.push_back(a.kind);
         aggs_.resize(kinds_.size());
     }
 
@@ -1290,22 +1479,21 @@ class DenseGroupAggregator
         return true;
     }
 
-    /** Spill the non-empty groups into the generic hash map. */
-    template <typename Map>
+    /** Fold the non-empty groups into the generic group table. */
     void
-    spill(Map &groups) const
+    spill(FlatTable &groups) const
     {
         for (std::size_t i = 0; i < count_.size(); ++i) {
             if (count_[i] == 0)
                 continue;
-            InlineKey key;
-            key.n = 1;
-            key.v[0] = lo_ + static_cast<std::int64_t>(i);
-            auto &acc = groups[key];
-            acc.count = count_[i];
-            acc.aggs.reserve(kinds_.size());
+            const std::int64_t key = lo_ + static_cast<std::int64_t>(i);
+            const std::uint64_t h = hashKey(&key, 1);
+            auto &part = groups.part(partitionOf(h));
+            const auto e = part.findOrInsert(&key, h);
+            std::int64_t *slots = part.slots(e);
             for (std::size_t a = 0; a < kinds_.size(); ++a)
-                acc.aggs.push_back(aggs_[a][i]);
+                foldSlot(kinds_[a], slots[a], aggs_[a][i]);
+            part.count(e) += count_[i];
         }
     }
 
@@ -1337,22 +1525,6 @@ class DenseGroupAggregator
         return true;
     }
 
-    /** Min slots idle at +inf, Max at -inf: updates need no count
-     *  check, and only count>0 slots are ever read back. */
-    std::int64_t
-    idleValue(AggKind kind) const
-    {
-        switch (kind) {
-          case AggKind::Min:
-            return std::numeric_limits<std::int64_t>::max();
-          case AggKind::Max:
-            return std::numeric_limits<std::int64_t>::min();
-          case AggKind::Sum:
-            break;
-        }
-        return 0;
-    }
-
     void
     resizeTo(std::size_t n, std::size_t front)
     {
@@ -1361,6 +1533,8 @@ class DenseGroupAggregator
                   counts.begin() + static_cast<std::ptrdiff_t>(front));
         count_ = std::move(counts);
         for (std::size_t a = 0; a < aggs_.size(); ++a) {
+            // Idle slots (idleValue): updates need no count
+            // check, and only count>0 slots are ever read back.
             std::vector<std::int64_t> slots(n,
                                             idleValue(kinds_[a]));
             std::copy(aggs_[a].begin(), aggs_[a].end(),
@@ -1402,9 +1576,9 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     // table. Workers scan whole scan tasks (shard x region ranges
     // of the build input) through the normal morsel pipeline into
     // per-task partial partitions keyed by the top bits of the key
-    // hash; the stitch then concatenates each partition's chunks in
-    // task order — exactly the serial scan's row order — so bucket
-    // contents (and therefore inner-join match expansion) stay
+    // hash; the stitch then walks each partition's chunks in task
+    // order — exactly the serial scan's row order — so every key's
+    // tuples (and therefore inner-join match expansion) stay
     // byte-identical to the serial build. Built once here, then
     // probed strictly read-only by every worker.
     std::vector<BatchBuildSide> builds(plan.joins.size());
@@ -1442,12 +1616,13 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             std::vector<ColumnBatch> keys, pays;
         };
 
-        /** One (task, partition) cell: surviving build keys in scan
-         *  order, payload values flattened payw-at-a-time
-         *  alongside. */
+        /** One (task, partition) cell: surviving build keys (keyw
+         *  ints each) and their hashes in scan order, payload values
+         *  flattened payw-at-a-time alongside. */
         struct BuildChunk
         {
-            std::vector<InlineKey> keys;
+            std::vector<std::int64_t> keys;
+            std::vector<std::uint64_t> hashes;
             std::vector<std::int64_t> vals;
         };
 
@@ -1460,7 +1635,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                 bstates[w].emplace(store, join);
             return *bstates[w];
         };
-        std::vector<std::array<BuildChunk, kBuildPartitions>> cells(
+        std::vector<std::array<BuildChunk, kTablePartitions>> cells(
             tasks);
 
         auto scanTask = [&](std::uint32_t w, std::size_t t) {
@@ -1480,19 +1655,32 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                          ++c)
                         bw.payRd[c].gatherInts(m, bw.sel.span(),
                                                bw.pays[c]);
+                    std::int64_t hk[InlineKey::kMaxKeys] = {};
                     for (std::size_t i = 0; i < bw.sel.size();
                          ++i) {
-                        InlineKey hk;
-                        hk.n = static_cast<std::uint32_t>(keyw);
                         for (std::size_t c = 0; c < keyw; ++c)
-                            hk.v[c] = bw.keys[c].ints[i];
-                        auto &cell =
-                            out_cells[buildPartitionOf(hk)];
-                        cell.keys.push_back(hk);
+                            hk[c] = bw.keys[c].ints[i];
+                        const std::uint64_t h = hashKey(
+                            hk, static_cast<std::uint32_t>(keyw));
+                        auto &cell = out_cells[partitionOf(h)];
+                        cell.keys.insert(cell.keys.end(), hk,
+                                         hk + keyw);
+                        cell.hashes.push_back(h);
                         for (std::size_t c = 0; c < payw; ++c)
                             cell.vals.push_back(bw.pays[c].ints[i]);
                     }
                 });
+        };
+        auto perPartition = [&](auto &&fn) {
+            if (pool && nworkers > 1) {
+                pool->parallelFor(kTablePartitions,
+                                  [&](std::uint32_t, std::size_t p) {
+                                      fn(p);
+                                  });
+            } else {
+                for (std::size_t p = 0; p < kTablePartitions; ++p)
+                    fn(p);
+            }
         };
         if (pool && nworkers > 1) {
             pool->parallelFor(tasks, scanTask);
@@ -1501,66 +1689,62 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                 scanTask(0, t);
         }
 
-        // Stitch: each partition concatenates its chunks in task
-        // order. Inner joins append payload tuples into the
-        // partition's bucket map (a partition is owned by exactly
-        // one stitch task, so the maps build race-free); semi/anti
-        // joins dedupe keys per partition, then bulk-insert the
-        // survivors into the flat existence set serially —
-        // FlatKeySet::contains is insertion-order independent, so
-        // the serial build's insert order never mattered.
-        if (inner) {
-            auto stitch = [&](std::size_t p) {
-                auto &map = builds[k].parts[p];
+        // Stitch: each partition (owned by exactly one task, so the
+        // tables build race-free) walks its chunks in task order.
+        // Semi/anti joins only insert the keys — the existence set
+        // dedupes. Inner joins count tuples per key, lay the keys'
+        // tuple ranges out in entry order, then scatter the tuples
+        // into their ranges in the same task order.
+        if (!inner) {
+            exist_sets[k] =
+                simd::FlatKeySet(static_cast<std::uint32_t>(keyw));
+            perPartition([&](std::size_t p) {
+                auto &part = exist_sets[k].part(p);
                 for (std::size_t t = 0; t < tasks; ++t) {
                     const auto &cell = cells[t][p];
-                    for (std::size_t i = 0; i < cell.keys.size();
-                         ++i) {
-                        const std::int64_t *v =
-                            payw == 0 ? nullptr
-                                      : cell.vals.data() + i * payw;
-                        map[cell.keys[i]].emplace_back(v, v + payw);
-                    }
+                    for (std::size_t i = 0; i < cell.hashes.size();
+                         ++i)
+                        part.findOrInsert(cell.keys.data() + i * keyw,
+                                          cell.hashes[i]);
                 }
-            };
-            if (pool && nworkers > 1) {
-                pool->parallelFor(
-                    kBuildPartitions,
-                    [&](std::uint32_t, std::size_t p) {
-                        stitch(p);
-                    });
-            } else {
-                for (std::size_t p = 0; p < kBuildPartitions; ++p)
-                    stitch(p);
-            }
-        } else {
-            std::array<std::vector<InlineKey>, kBuildPartitions>
-                uniq;
-            auto dedupe = [&](std::size_t p) {
-                std::unordered_set<InlineKey, InlineKeyHash> seen;
-                for (std::size_t t = 0; t < tasks; ++t)
-                    for (const auto &key : cells[t][p].keys)
-                        if (seen.insert(key).second)
-                            uniq[p].push_back(key);
-            };
-            if (pool && nworkers > 1) {
-                pool->parallelFor(
-                    kBuildPartitions,
-                    [&](std::uint32_t, std::size_t p) {
-                        dedupe(p);
-                    });
-            } else {
-                for (std::size_t p = 0; p < kBuildPartitions; ++p)
-                    dedupe(p);
-            }
-            std::size_t total = 0;
-            for (const auto &u : uniq)
-                total += u.size();
-            exist_sets[k].reserve(total);
-            for (const auto &u : uniq)
-                for (const auto &key : u)
-                    exist_sets[k].insert(key);
+            });
+            continue;
         }
+        auto &side = builds[k];
+        side.table = FlatTable(static_cast<std::uint32_t>(keyw), {0});
+        side.payw = payw;
+        perPartition([&](std::size_t p) {
+            auto &part = side.table.part(p);
+            std::vector<std::uint32_t> entry_of;
+            for (std::size_t t = 0; t < tasks; ++t) {
+                const auto &cell = cells[t][p];
+                for (std::size_t i = 0; i < cell.hashes.size(); ++i) {
+                    const auto e = part.findOrInsert(
+                        cell.keys.data() + i * keyw, cell.hashes[i]);
+                    ++part.count(e);
+                    entry_of.push_back(e);
+                }
+            }
+            std::vector<std::uint64_t> cursor(part.size());
+            std::uint64_t next = 0;
+            for (std::uint32_t e = 0; e < part.size(); ++e) {
+                part.slots(e)[0] = static_cast<std::int64_t>(next);
+                cursor[e] = next;
+                next += part.count(e);
+            }
+            if (payw == 0)
+                return;
+            auto &pay = side.payload[p];
+            pay.resize(next * payw);
+            std::size_t row = 0;
+            for (std::size_t t = 0; t < tasks; ++t) {
+                const auto &vals = cells[t][p].vals;
+                for (std::size_t i = 0; i * payw < vals.size(); ++i)
+                    std::copy_n(vals.data() + i * payw, payw,
+                                pay.data() +
+                                    cursor[entry_of[row++]]++ * payw);
+            }
+        });
     }
     const auto t_build = Clock::now();
 
@@ -1702,6 +1886,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     // arrays, no per-row hashing) until its key domain spills — in
     // the fused pass and after a join expansion alike.
     const bool dense_grouped = group_refs.size() == 1;
+    const auto kinds = aggKinds(plan.aggregates);
 
     /**
      * Everything one worker touches while draining shards: its own
@@ -1715,9 +1900,11 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                     const QueryPlan &plan,
                     const std::vector<SubqueryResult> *subs,
                     const std::vector<std::string> &cols,
-                    bool fused_ungrouped, bool dense_grouped)
+                    const std::vector<AggKind> &kinds,
+                    bool dense_grouped)
             : preds(store, plan.probe, &plan, subs),
               aggLikeCtx(store, nullptr, nullptr),
+              groups(makeGroupTable(plan.groupBy.size(), kinds)),
               dense(plan.aggregates), denseActive(dense_grouped)
         {
             rd.reserve(cols.size());
@@ -1732,8 +1919,8 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             avals.resize(plan.aggregates.size());
             aggExprVals.resize(plan.aggregates.size());
             aggPtrs.resize(plan.aggregates.size());
-            if (fused_ungrouped)
-                fusedTotal.aggs.assign(plan.aggregates.size(), 0);
+            for (const auto k : kinds)
+                fusedTotal.push_back(idleValue(k));
         }
 
         BatchPredicates preds;
@@ -1744,8 +1931,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         // Join match expansion: entry e is (selection index erow[e],
         // payload tuple etup[k][e] per expanded inner join k).
         std::vector<std::uint32_t> erow, erowNext;
-        std::vector<std::vector<const std::vector<std::int64_t> *>>
-            etup, etupNext;
+        std::vector<std::vector<const std::int64_t *>> etup, etupNext;
         std::vector<std::size_t> activeTup; ///< Expanded inner joins.
         // Group-key / aggregate columns over the expanded entries.
         std::vector<std::vector<std::int64_t>> gvals, avals;
@@ -1762,8 +1948,11 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         std::vector<std::vector<std::int64_t>> likeExpand;
         RefVecExprContext exprCtx;
         std::vector<std::span<const std::int64_t>> aggPtrs;
-        std::unordered_map<InlineKey, Accum, InlineKeyHash> groups;
-        Accum fusedTotal;
+        FlatTable groups;
+        /** Ungrouped fused pass: one running accumulator per
+         *  aggregate (idle-initialized) and its row count. */
+        std::vector<std::int64_t> fusedTotal;
+        std::uint64_t fusedCount = 0;
         DenseGroupAggregator dense;
         bool denseActive;
         std::uint64_t visible = 0;
@@ -1771,24 +1960,21 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         std::uint64_t filtered = 0;
         /** Per-join observed in/out row flow (ExecStats). */
         std::vector<JoinExecStats> joinStats;
-        InlineKey fk; ///< Filter-join probe key, reused across rows.
+        InlineKey fk; ///< Join probe key, reused across rows.
     };
 
-    /** Hash-map accumulation of entries [0, n) via value(slot, e). */
+    /** Group-table accumulation of entries [0, n) via
+     *  group_val(g, e) / agg_val(a, e). */
     auto hashAccumulate = [&](WorkerState &st, std::size_t n,
                               auto &&group_val, auto &&agg_val) {
+        InlineKey gk;
+        gk.n = static_cast<std::uint32_t>(group_refs.size());
         for (std::size_t e = 0; e < n; ++e) {
-            InlineKey gk;
-            gk.n = static_cast<std::uint32_t>(group_refs.size());
             for (std::size_t g = 0; g < group_refs.size(); ++g)
                 gk.v[g] = group_val(g, e);
-            auto &acc = st.groups[gk];
-            if (acc.count == 0)
-                acc.aggs.assign(agg_inputs.size(), 0);
-            for (std::size_t a = 0; a < agg_inputs.size(); ++a)
-                accumulateValue(acc, a, plan.aggregates[a].kind,
-                                agg_val(a, e));
-            ++acc.count;
+            accumulateGroup(st.groups, gk, kinds, [&](std::size_t a) {
+                return agg_val(a, e);
+            });
         }
     };
 
@@ -1903,32 +2089,23 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
             // updates over the surviving selection.
             computeFusedAggPtrs(st);
             for (std::size_t a = 0; a < agg_inputs.size(); ++a) {
-                const auto vals = st.aggPtrs[a];
-                auto &acc = st.fusedTotal.aggs[a];
-                switch (plan.aggregates[a].kind) {
+                auto &acc = st.fusedTotal[a];
+                switch (kinds[a]) {
                   case AggKind::Sum:
-                    for (const auto v : vals)
+                    for (const auto v : st.aggPtrs[a])
                         acc = wrapAdd(acc, v);
                     break;
-                  case AggKind::Min: {
-                    std::size_t i = 0;
-                    if (st.fusedTotal.count == 0)
-                        acc = vals[i++];
-                    for (; i < vals.size(); ++i)
-                        acc = std::min(acc, vals[i]);
+                  case AggKind::Min:
+                    for (const auto v : st.aggPtrs[a])
+                        acc = std::min(acc, v);
                     break;
-                  }
-                  case AggKind::Max: {
-                    std::size_t i = 0;
-                    if (st.fusedTotal.count == 0)
-                        acc = vals[i++];
-                    for (; i < vals.size(); ++i)
-                        acc = std::max(acc, vals[i]);
+                  case AggKind::Max:
+                    for (const auto v : st.aggPtrs[a])
+                        acc = std::max(acc, v);
                     break;
-                  }
                 }
             }
-            st.fusedTotal.count += st.sel.size();
+            st.fusedCount += st.sel.size();
             return;
         }
 
@@ -1941,7 +2118,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                         st.aggPtrs))
                     return;
                 // Key domain outgrew the dense arrays: spill to
-                // the hash map and continue generically (this
+                // the group table and continue generically (this
                 // morsel included, below).
                 st.denseActive = false;
                 st.dense.spill(st.groups);
@@ -1987,18 +2164,18 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         for (const auto k : descend_joins) {
             st.joinStats[k].in += erow.size();
             const auto &refs = join_key_refs[k];
-            auto keyAt = [&](std::size_t e) {
+            auto keyAt = [&](std::size_t e) -> const InlineKey & {
                 if (probe_keyed[k])
                     return st.bulkKeys[k][erow[e]];
-                InlineKey hk;
+                InlineKey &hk = st.fk;
                 hk.n = static_cast<std::uint32_t>(refs.size());
                 for (std::size_t c = 0; c < refs.size(); ++c) {
                     const auto &r = refs[c];
                     hk.v[c] =
                         r.side == ColRef::kProbe
                             ? st.batches[r.idx].ints[erow[e]]
-                            : (*st.etup[static_cast<std::size_t>(
-                                  r.side)][e])[r.idx];
+                            : st.etup[static_cast<std::size_t>(
+                                  r.side)][e][r.idx];
                 }
                 return hk;
             };
@@ -2023,15 +2200,15 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                 for (const auto l : st.activeTup)
                     st.etupNext[l].clear();
                 st.etupNext[k].clear();
+                const std::size_t payw = builds[k].payw;
                 for (std::size_t e = 0; e < erow.size(); ++e) {
-                    const auto *bucket = builds[k].find(keyAt(e));
-                    if (!bucket)
-                        continue;
-                    for (const auto &tuple : *bucket) {
+                    const auto [tup, matches] =
+                        builds[k].find(keyAt(e));
+                    for (std::uint64_t j = 0; j < matches; ++j) {
                         st.erowNext.push_back(erow[e]);
                         for (const auto l : st.activeTup)
                             st.etupNext[l].push_back(st.etup[l][e]);
-                        st.etupNext[k].push_back(&tuple);
+                        st.etupNext[k].push_back(tup + j * payw);
                     }
                 }
                 std::swap(erow, st.erowNext);
@@ -2059,7 +2236,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
                 const auto &tup =
                     st.etup[static_cast<std::size_t>(r.side)];
                 for (std::size_t e = 0; e < ne; ++e)
-                    out[e] = (*tup[e])[r.idx];
+                    out[e] = tup[e][r.idx];
             }
         };
         for (std::size_t g = 0; g < group_refs.size(); ++g)
@@ -2126,8 +2303,7 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     auto stateFor = [&](std::uint32_t w) -> WorkerState & {
         if (!states[w])
             states[w].emplace(probe_store, plan, &subqueries,
-                              probe_cols, fused_ungrouped,
-                              dense_grouped);
+                              probe_cols, kinds, dense_grouped);
         return *states[w];
     };
 
@@ -2154,11 +2330,12 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
     }
     const auto t_probe = Clock::now();
 
-    // CPU-side merge: fold the per-worker partial accumulators in
-    // worker order. Every fold is commutative (sum/min/max/count),
-    // and the materialization below orders by group key, so the
-    // result is byte-identical for any workers x shards split.
-    // Workers that never claimed a shard have no state to fold.
+    // CPU-side merge: fold the per-worker partial tables partition
+    // by partition (mergeTables). Every fold is commutative
+    // (sum/min/max/count), and the materialization below orders by
+    // group key, so the result is byte-identical for any workers x
+    // shards split. Workers that never claimed a shard have no state
+    // to fold.
     std::vector<WorkerState *> engaged;
     for (auto &st : states)
         if (st)
@@ -2199,71 +2376,35 @@ executeBatchImpl(const txn::Database &db, const QueryPlan &plan,
         }
     }
 
-    if (fused_ungrouped) {
-        Accum total;
-        total.aggs.assign(plan.aggregates.size(), 0);
-        for (const auto *st : engaged)
-            combineAccum(plan.aggregates, total, st->fusedTotal);
-        if (opts.captureGroups) {
-            out.groupsCaptured = true;
-            if (total.count > 0)
-                out.groups.push_back(
-                    GroupAccum{InlineKey{}, total.aggs, total.count});
+    // Bring every worker's partial into its group table — the
+    // ungrouped fused total as the empty key's group, a still-dense
+    // aggregator by spilling — then fold the tables into the first
+    // engaged worker's.
+    for (auto *st : engaged) {
+        if (fused_ungrouped && st->fusedCount > 0) {
+            const std::uint64_t h = hashKey(nullptr, 0);
+            auto &part = st->groups.part(partitionOf(h));
+            const auto e = part.findOrInsert(nullptr, h);
+            std::copy(st->fusedTotal.begin(), st->fusedTotal.end(),
+                      part.slots(e));
+            part.count(e) = st->fusedCount;
         }
-        out.result.rows.push_back(ResultRow{
-            {}, std::move(total.aggs), total.count});
-        sortAndLimit(out, plan);
-        out.mergeNs = phaseNs(t_probe, Clock::now());
-        return out;
-    }
-
-    // Spill any still-dense per-worker aggregator, then fold the
-    // workers' group maps into the first engaged worker's.
-    for (auto *st : engaged)
         if (st->denseActive)
             st->dense.spill(st->groups);
+    }
     auto &groups = engaged.front()->groups;
+    std::vector<const FlatTable *> partials;
     for (std::size_t w = 1; w < engaged.size(); ++w)
-        for (auto &[key, acc] : engaged[w]->groups)
-            combineAccum(plan.aggregates, groups[key], acc);
+        partials.push_back(&engaged[w]->groups);
+    mergeTables(kinds, groups, partials, pool);
 
-    // Capture the merged accumulators before the placeholder
-    // insertion and materialization move them away: these are the
-    // partials a later delta-incremental run folds new rows into.
+    out.result = materializeTable(plan, groups);
+    // Capture the merged accumulators: the partials a later
+    // delta-incremental run folds new rows into.
     if (opts.captureGroups) {
         out.groupsCaptured = true;
-        out.groups.reserve(groups.size());
-        for (const auto &[key, acc] : groups)
-            if (acc.count > 0)
-                out.groups.push_back(
-                    GroupAccum{key, acc.aggs, acc.count});
+        out.groups = std::move(groups);
     }
-
-    // An ungrouped query always yields exactly one row (zero sums
-    // and count when nothing matched).
-    if (plan.groupBy.empty() && groups.empty())
-        groups[InlineKey{}] =
-            Accum{std::vector<std::int64_t>(plan.aggregates.size(),
-                                            0),
-                  0};
-
-    // Materialize in ascending group-key order (the scalar
-    // executor's std::map iteration order), then sort/limit.
-    std::vector<std::pair<InlineKey, Accum>> ordered;
-    ordered.reserve(groups.size());
-    for (auto &[key, acc] : groups)
-        ordered.emplace_back(key, std::move(acc));
-    std::sort(ordered.begin(), ordered.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    out.result.rows.reserve(ordered.size());
-    for (auto &[key, acc] : ordered)
-        out.result.rows.push_back(ResultRow{
-            std::vector<std::int64_t>(key.v.begin(),
-                                      key.v.begin() + key.n),
-            std::move(acc.aggs), acc.count});
-    sortAndLimit(out, plan);
     out.mergeNs = phaseNs(t_probe, Clock::now());
     return out;
 }
@@ -2282,58 +2423,16 @@ fitsBatchEngine(const QueryPlan &plan)
 }
 
 void
-foldGroups(const QueryPlan &plan, std::vector<GroupAccum> &into,
-           const std::vector<GroupAccum> &from)
+foldGroups(const QueryPlan &plan, FlatTable &into,
+           const FlatTable &from, WorkerPool *pool)
 {
-    // Same numeric semantics as combineAccum: wrapping sums, counts,
-    // min/max with the count==0 first-value rule. Quadratic matching
-    // is fine — group counts are result-sized, not row-sized.
-    for (const auto &f : from) {
-        if (f.count == 0)
-            continue;
-        GroupAccum *hit = nullptr;
-        for (auto &g : into)
-            if (g.key == f.key) {
-                hit = &g;
-                break;
-            }
-        if (!hit) {
-            into.push_back(f);
-            continue;
-        }
-        Accum merged{hit->aggs, hit->count};
-        combineAccum(plan.aggregates, merged,
-                     Accum{f.aggs, f.count});
-        hit->aggs = std::move(merged.aggs);
-        hit->count = merged.count;
-    }
+    mergeTables(aggKinds(plan.aggregates), into, {&from}, pool);
 }
 
 QueryResult
-materializeGroups(const QueryPlan &plan,
-                  std::vector<GroupAccum> groups)
+materializeGroups(const QueryPlan &plan, const FlatTable &groups)
 {
-    // Mirrors executeBatchImpl's tail exactly: the ungrouped
-    // zero-placeholder when a grouped-empty plan produced nothing,
-    // ascending inline-key materialization order, then sort/limit.
-    if (plan.groupBy.empty() && groups.empty())
-        groups.push_back(GroupAccum{
-            InlineKey{},
-            std::vector<std::int64_t>(plan.aggregates.size(), 0),
-            0});
-    std::sort(groups.begin(), groups.end(),
-              [](const GroupAccum &a, const GroupAccum &b) {
-                  return a.key < b.key;
-              });
-    PlanExecution out;
-    out.result.rows.reserve(groups.size());
-    for (auto &g : groups)
-        out.result.rows.push_back(ResultRow{
-            std::vector<std::int64_t>(g.key.v.begin(),
-                                      g.key.v.begin() + g.key.n),
-            std::move(g.aggs), g.count});
-    sortAndLimit(out, plan);
-    return std::move(out.result);
+    return materializeTable(plan, groups);
 }
 
 bool

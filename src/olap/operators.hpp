@@ -176,24 +176,6 @@ struct ExecStats
     std::vector<std::pair<std::uint64_t, std::uint64_t>> conjuncts;
 };
 
-/**
- * One group's partial accumulator state, captured from the batch
- * engine's cross-worker merge before materialization. The key is the
- * inline group key (empty key, n == 0, for ungrouped plans), `aggs`
- * holds one partial per plan aggregate in plan order, `count` the
- * rows folded in. Folding two captures with foldGroups() and
- * materializing with materializeGroups() is byte-identical to one
- * cold run over the union of their input rows — every aggregate kind
- * is a commutative, associative fold (wrapping sums, counts,
- * min/max), which is what makes delta-incremental re-execution exact.
- */
-struct GroupAccum
-{
-    InlineKey key;
-    std::vector<std::int64_t> aggs;
-    std::uint64_t count = 0;
-};
-
 struct PlanExecution
 {
     QueryResult result;
@@ -223,13 +205,19 @@ struct PlanExecution
     ExecStats stats;
     /**
      * Filled when ExecOptions::captureGroups was set and the batch
-     * engine ran: the merged cross-worker group accumulators exactly
-     * as they stood before the ungrouped-placeholder insertion and
-     * materialization (count > 0 entries only, unsorted). False when
-     * the scalar fallback executed — scalar runs never capture.
+     * engine ran: the merged cross-worker group table the result was
+     * materialized from — one entry per group with count > 0, keyed
+     * by the inline group key (empty for ungrouped plans), one slot
+     * per plan aggregate. Folding two captures with foldGroups() and
+     * materializing with materializeGroups() is byte-identical to one
+     * cold run over the union of their input rows: every aggregate
+     * kind is a commutative, associative fold (wrapping sums, counts,
+     * min/max), which is what makes delta-incremental re-execution
+     * exact. False when the scalar fallback executed — scalar runs
+     * never capture.
      */
     bool groupsCaptured = false;
-    std::vector<GroupAccum> groups;
+    FlatTable groups;
 };
 
 /**
@@ -312,22 +300,23 @@ bool fitsBatchEngine(const QueryPlan &plan);
 
 /**
  * Fold @p from into @p into with the batch engine's cross-worker
- * merge semantics (wrapping sums, counts, min/max with the
- * first-value rule), matching groups by key and appending unmatched
- * ones. Entries must carry aggs sized to @p plan's aggregate list.
+ * merge (the same partitioned mergeTables fold: wrapping sums,
+ * counts, min/max), matching groups by key in one pass over @p from.
+ * Both tables must come from captures of @p plan. Partitions fold in
+ * parallel over @p pool when given and the input is large.
  */
-void foldGroups(const QueryPlan &plan, std::vector<GroupAccum> &into,
-                const std::vector<GroupAccum> &from);
+void foldGroups(const QueryPlan &plan, FlatTable &into,
+                const FlatTable &from, WorkerPool *pool = nullptr);
 
 /**
- * Materialize @p groups into result rows exactly as the batch
- * engine's tail does: ascending inline-key order, the ungrouped
- * zero-placeholder row when a grouped plan produced no groups, then
- * the plan's sort/limit. Byte-identical to a cold executePlan() fed
- * the same accumulator state.
+ * Materialize @p groups into result rows through the batch engine's
+ * own tail: the ungrouped zero-placeholder when an ungrouped plan
+ * produced no groups, otherwise the plan's ORDER BY (ties in
+ * ascending group-key order) cut to its LIMIT. Byte-identical to a
+ * cold executePlan() fed the same accumulator state.
  */
 QueryResult materializeGroups(const QueryPlan &plan,
-                              std::vector<GroupAccum> groups);
+                              const FlatTable &groups);
 
 /**
  * Row-at-a-time reference executor (the pre-batching pipeline):

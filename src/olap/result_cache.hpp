@@ -78,10 +78,10 @@ class ResultCache
          *  incremental baseline. */
         Bitmap probeData;
         Bitmap probeDelta;
-        /** Merged group accumulators (count > 0 entries only), when
-         *  the batch engine captured them. */
+        /** Merged group table (PlanExecution::groups), when the
+         *  batch engine captured it. */
         bool hasGroups = false;
-        std::vector<GroupAccum> groups;
+        FlatTable groups;
         /** Snapshot-visible probe rows behind `groups`. */
         std::uint64_t rowsVisible = 0;
         QueryResult result;

@@ -581,63 +581,29 @@ gatherDictCodes(std::span<const std::uint8_t> packed,
 }
 
 void
-FlatKeySet::reserve(std::size_t count)
-{
-    const std::size_t cap =
-        std::bit_ceil(std::max<std::size_t>(16, count * 2));
-    slots_.assign(cap, InlineKey{});
-    used_.assign(cap, 0);
-    mask_ = cap - 1;
-    n_ = 0;
-}
-
-void
-FlatKeySet::insertNoGrow(const InlineKey &k)
-{
-    std::size_t h = InlineKeyHash{}(k)&mask_;
-    while (used_[h]) {
-        if (slots_[h] == k)
-            return;
-        h = (h + 1) & mask_;
-    }
-    slots_[h] = k;
-    used_[h] = 1;
-    ++n_;
-}
-
-void
 FlatKeySet::insert(const InlineKey &k)
 {
-    if (slots_.empty() || (n_ + 1) * 2 > slots_.size()) {
-        std::vector<InlineKey> old;
-        old.reserve(n_);
-        for (std::size_t i = 0; i < slots_.size(); ++i)
-            if (used_[i])
-                old.push_back(slots_[i]);
-        reserve(std::max<std::size_t>(n_ * 2, 8));
-        for (const auto &o : old)
-            insertNoGrow(o);
-    }
-    insertNoGrow(k);
+    if (k.n != keyWidth())
+        fatal("FlatKeySet: {}-int key inserted into a {}-int set", k.n,
+              keyWidth());
+    const std::uint64_t h = hashKey(k.v.data(), k.n);
+    part(partitionOf(h)).findOrInsert(k.v.data(), h);
 }
 
 bool
 FlatKeySet::containsHashed1(std::uint64_t h, std::int64_t key) const
 {
-    std::size_t s = static_cast<std::size_t>(h) & mask_;
-    while (used_[s]) {
-        if (slots_[s].n == 1 && slots_[s].v[0] == key)
-            return true;
-        s = (s + 1) & mask_;
-    }
-    return false;
+    return part(partitionOf(h)).find(&key, h) != kNone;
 }
 
 void
 FlatKeySet::filterContains1(std::span<const std::int64_t> keys,
                             SelectionVector &sel, bool anti) const
 {
-    if (n_ == 0) {
+    if (keyWidth() != 1)
+        fatal("FlatKeySet::filterContains1 over a {}-int set",
+              keyWidth());
+    if (size() == 0) {
         // Empty build side: semi keeps nothing, anti keeps all.
         if (!anti)
             sel.idx.clear();
@@ -660,12 +626,10 @@ FlatKeySet::filterContains1(std::span<const std::int64_t> keys,
         }
     }
 #endif
-    InlineKey key;
-    key.n = 1;
     for (; i < n; ++i) {
-        key.v[0] = k[i];
         idx[out] = idx[i];
-        out += static_cast<std::size_t>(contains(key) != anti);
+        out += static_cast<std::size_t>(
+            containsHashed1(hashKey(k + i, 1), k[i]) != anti);
     }
     sel.idx.resize(out);
 }

@@ -121,55 +121,33 @@ void gatherDictCodes(std::span<const std::uint8_t> packed,
                      AlignedVec<std::uint32_t> &out);
 
 /**
- * Open-addressing exact-match set of InlineKeys: the filter-join
- * existence probe (semi/anti join with no payload) as a flat,
- * cache-friendly table instead of node-based buckets. Build once
- * single-threaded, probe concurrently read-only.
+ * Exact-match set of InlineKeys of one arity: the zero-slot member of
+ * the FlatTable family, used as the filter-join existence probe
+ * (semi/anti join with no payload). Build (partition by partition,
+ * in parallel if wanted), then probe concurrently read-only.
  */
-class FlatKeySet
+class FlatKeySet : public FlatTable
 {
   public:
-    FlatKeySet() = default;
-
-    /** Size the table for @p count keys (call before insert). */
-    void reserve(std::size_t count);
-
-    void insert(const InlineKey &k);
-
-    bool
-    contains(const InlineKey &k) const
+    explicit FlatKeySet(std::uint32_t key_width = 1)
+        : FlatTable(key_width, {})
     {
-        if (n_ == 0)
-            return false;
-        std::size_t h = InlineKeyHash{}(k)&mask_;
-        while (used_[h]) {
-            if (slots_[h] == k)
-                return true;
-            h = (h + 1) & mask_;
-        }
-        return false;
     }
 
-    std::size_t size() const { return n_; }
+    /** Insert @p k (fatal when its arity is not the set's). */
+    void insert(const InlineKey &k);
 
     /**
      * Bulk existence probe over single-int-column keys: keep sel[i]
      * iff contains({keys[i]}) != anti. @p keys is parallel to
      * @p sel. The vector path hashes 4 keys per step (vectorized
-     * SplitMix64 mix matching InlineKeyHash) before the scalar
-     * bucket walks.
+     * SplitMix64 mix matching hashKey) before the scalar slot walks.
      */
     void filterContains1(std::span<const std::int64_t> keys,
                          SelectionVector &sel, bool anti) const;
 
   private:
-    void insertNoGrow(const InlineKey &k);
     bool containsHashed1(std::uint64_t h, std::int64_t key) const;
-
-    std::vector<InlineKey> slots_;
-    std::vector<std::uint8_t> used_;
-    std::size_t mask_ = 0;
-    std::size_t n_ = 0;
 };
 
 } // namespace pushtap::olap::simd

@@ -2,12 +2,16 @@
 
 #include "common/log.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/worker_pool.hpp"
 #include "olap/batch.hpp"
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
@@ -448,6 +452,190 @@ TEST_F(BatchVsScalarTest, FusedScanPricingReducesModelledTime)
     EXPECT_GT(base_j.fusedScanColumns, 0u);
     EXPECT_EQ(opt_j.fusedScanColumns, base_j.fusedScanColumns);
     EXPECT_LT(opt_j.pimNs, base_j.pimNs);
+}
+
+// ---- group tables: the shared materialization tail and the fold ---
+
+/** Random group table over 2-int keys: one Sum, Min and Max slot per
+ *  group (idle-initialized like the engine's), values drawn from a
+ *  small range so ORDER BY ties are common. */
+FlatTable
+randomGroups(Rng &rng, std::size_t n, std::int64_t key_range)
+{
+    FlatTable t(2, {0, std::numeric_limits<std::int64_t>::max(),
+                    std::numeric_limits<std::int64_t>::min()});
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::int64_t key[2] = {rng.inRange(-key_range, key_range),
+                                     rng.inRange(0, 3)};
+        const std::uint64_t h = hashKey(key, 2);
+        auto &part = t.part(partitionOf(h));
+        const auto e = part.findOrInsert(key, h);
+        std::int64_t *slots = part.slots(e);
+        const std::int64_t v = rng.inRange(-6, 6);
+        slots[0] = static_cast<std::int64_t>(
+            static_cast<std::uint64_t>(slots[0]) +
+            (static_cast<std::uint64_t>(v) << 60));
+        slots[1] = std::min(slots[1], v);
+        slots[2] = std::max(slots[2], -v);
+        ++part.count(e);
+    }
+    return t;
+}
+
+QueryPlan
+groupPlan()
+{
+    QueryPlan p;
+    p.name = "groups";
+    p.probe.table = ChTable::OrderLine;
+    p.groupBy = {{ColRef::kProbe, "ol_o_id"}, {ColRef::kProbe, "ol_d_id"}};
+    p.aggregates = {{AggKind::Sum, {ColRef::kProbe, "ol_amount"}},
+                    {AggKind::Min, {ColRef::kProbe, "ol_amount"}},
+                    {AggKind::Max, {ColRef::kProbe, "ol_amount"}}};
+    return p;
+}
+
+/** Every group of @p t as a result row, in ascending key order. */
+std::vector<ResultRow>
+rowsByKey(const FlatTable &t)
+{
+    std::map<std::vector<std::int64_t>, ResultRow> byKey;
+    for (std::size_t p = 0; p < kTablePartitions; ++p) {
+        const auto &part = t.part(p);
+        for (std::uint32_t e = 0; e < part.size(); ++e) {
+            std::vector<std::int64_t> key(part.key(e),
+                                          part.key(e) + t.keyWidth());
+            byKey[key] = ResultRow{
+                key,
+                {part.slots(e), part.slots(e) + t.slotCount()},
+                part.count(e)};
+        }
+    }
+    std::vector<ResultRow> rows;
+    for (auto &[key, row] : byKey)
+        rows.push_back(std::move(row));
+    return rows;
+}
+
+TEST(GroupTail, TopKMatchesStableSortOverAscendingKeys)
+{
+    // The tail sorts an index permutation (ORDER BY values, then the
+    // key) and partial_sorts to LIMIT; the reference here is the
+    // engine's former tail: ascending-key rows, a stable ORDER BY
+    // sort, then the LIMIT cut.
+    Rng rng(1207);
+    for (int it = 0; it < 200; ++it) {
+        const auto groups =
+            randomGroups(rng, rng.inRange(0, 400), rng.inRange(1, 60));
+        auto plan = groupPlan();
+        const auto nsk = rng.inRange(0, 2);
+        for (std::int64_t j = 0; j < nsk; ++j) {
+            SortKey sk;
+            sk.target = static_cast<SortKey::Target>(rng.inRange(0, 2));
+            sk.index = static_cast<std::size_t>(
+                sk.target == SortKey::Target::GroupKey
+                    ? rng.inRange(0, 1)
+                    : rng.inRange(0, 2));
+            sk.descending = rng.flip(0.5);
+            plan.orderBy.push_back(sk);
+        }
+        plan.limit = static_cast<std::uint64_t>(
+            rng.flip(0.3) ? 0 : rng.inRange(1, 300));
+
+        auto want = rowsByKey(groups);
+        std::stable_sort(
+            want.begin(), want.end(),
+            [&plan](const ResultRow &a, const ResultRow &b) {
+                for (const auto &sk : plan.orderBy) {
+                    std::int64_t av = 0, bv = 0;
+                    switch (sk.target) {
+                      case SortKey::Target::GroupKey:
+                        av = a.keys[sk.index];
+                        bv = b.keys[sk.index];
+                        break;
+                      case SortKey::Target::Aggregate:
+                        av = a.aggs[sk.index];
+                        bv = b.aggs[sk.index];
+                        break;
+                      case SortKey::Target::Count:
+                        av = static_cast<std::int64_t>(a.count);
+                        bv = static_cast<std::int64_t>(b.count);
+                        break;
+                    }
+                    if (av != bv)
+                        return sk.descending ? av > bv : av < bv;
+                }
+                return false;
+            });
+        if (plan.limit != 0 && want.size() > plan.limit)
+            want.resize(plan.limit);
+
+        const auto got = materializeGroups(plan, groups);
+        ASSERT_EQ(got.rows.size(), want.size()) << "it " << it;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got.rows[i].keys, want[i].keys) << it << "/" << i;
+            EXPECT_EQ(got.rows[i].aggs, want[i].aggs) << it << "/" << i;
+            EXPECT_EQ(got.rows[i].count, want[i].count) << it << "/" << i;
+        }
+    }
+}
+
+TEST(GroupTail, EmptyTableYieldsThePlaceholderOnlyWhenUngrouped)
+{
+    auto plan = groupPlan();
+    EXPECT_TRUE(materializeGroups(plan, FlatTable(2, {0, 0, 0}))
+                    .rows.empty());
+    plan.groupBy.clear();
+    const auto res = materializeGroups(plan, FlatTable(0, {0, 0, 0}));
+    ASSERT_EQ(res.rows.size(), 1u);
+    EXPECT_TRUE(res.rows[0].keys.empty());
+    EXPECT_EQ(res.rows[0].aggs, (std::vector<std::int64_t>{0, 0, 0}));
+    EXPECT_EQ(res.rows[0].count, 0u);
+}
+
+TEST(GroupTail, FoldGroupsMatchesAnOrderedMerge)
+{
+    // foldGroups is one pass over `from` through the table; the
+    // reference merges ordered maps with the same wrapping-sum /
+    // min / max / count semantics. Pools of 1 and 4 workers (the
+    // latter folds partitions in parallel once the input is large).
+    Rng rng(4242);
+    for (const std::uint32_t workers : {1u, 4u}) {
+        WorkerPool pool(workers);
+        for (int it = 0; it < 2; ++it) {
+            // The large case crosses the parallel-merge threshold.
+            const std::size_t n = it % 2 == 0 ? 300 : 6000;
+            auto into = randomGroups(rng, n, 3000);
+            const auto from = randomGroups(rng, n, 3000);
+            auto want = rowsByKey(into);
+            std::map<std::vector<std::int64_t>, ResultRow> merged;
+            for (auto &row : want)
+                merged[row.keys] = row;
+            for (const auto &row : rowsByKey(from)) {
+                auto [pos, fresh] = merged.try_emplace(row.keys, row);
+                if (fresh)
+                    continue;
+                auto &m = pos->second;
+                m.aggs[0] = static_cast<std::int64_t>(
+                    static_cast<std::uint64_t>(m.aggs[0]) +
+                    static_cast<std::uint64_t>(row.aggs[0]));
+                m.aggs[1] = std::min(m.aggs[1], row.aggs[1]);
+                m.aggs[2] = std::max(m.aggs[2], row.aggs[2]);
+                m.count += row.count;
+            }
+            foldGroups(groupPlan(), into, from,
+                       workers > 1 ? &pool : nullptr);
+            const auto got = rowsByKey(into);
+            ASSERT_EQ(got.size(), merged.size());
+            std::size_t i = 0;
+            for (const auto &[key, row] : merged) {
+                EXPECT_EQ(got[i].keys, row.keys);
+                EXPECT_EQ(got[i].aggs, row.aggs) << i;
+                EXPECT_EQ(got[i].count, row.count) << i;
+                ++i;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -19,6 +19,7 @@ using txn::Database;
 using txn::DatabaseConfig;
 using txn::InstanceFormat;
 using txn::TpccEngine;
+using workload::ChTable;
 
 DatabaseConfig
 smallConfig()
@@ -211,9 +212,10 @@ class ParallelMaintenanceTest : public ::testing::Test
 
 TEST_F(ParallelMaintenanceTest, SnapshotChargeAndStatsBitIdentical)
 {
-    Instance serial(1), parallel(4);
+    Instance serial(1), parallel(4), manual(1);
     const auto ts = serial.db.now();
     ASSERT_EQ(ts, parallel.db.now());
+    ASSERT_EQ(ts, manual.db.now());
     const auto t1 = serial.engine.prepareSnapshot(ts);
     const auto t4 = parallel.engine.prepareSnapshot(ts);
     EXPECT_DOUBLE_EQ(t4, t1);
@@ -224,6 +226,31 @@ TEST_F(ParallelMaintenanceTest, SnapshotChargeAndStatsBitIdentical)
     EXPECT_EQ(s4.bitsFlipped, s1.bitsFlipped);
     EXPECT_EQ(s4.metadataBytesRead, s1.metadataBytesRead);
     EXPECT_EQ(s4.bitmapBytesWritten, s1.bitmapBytesWritten);
+
+    // The stats cover the whole pass: they equal the sum of
+    // independent per-table snapshot passes over the identically
+    // built third database, not just the last table's share.
+    mvcc::SnapshotStats sum;
+    std::size_t tables_flipped = 0;
+    for (std::size_t i = 0; i < workload::kChTableCount; ++i) {
+        auto &tbl = manual.db.table(static_cast<ChTable>(i));
+        mvcc::Snapshotter snap;
+        const auto st = snap.snapshot(tbl.store(), tbl.versions(), ts);
+        sum.versionsScanned += st.versionsScanned;
+        sum.versionsSkipped += st.versionsSkipped;
+        sum.bitsFlipped += st.bitsFlipped;
+        sum.metadataBytesRead += st.metadataBytesRead;
+        sum.bitmapBytesWritten += st.bitmapBytesWritten;
+        tables_flipped += st.bitsFlipped > 0 ? 1 : 0;
+    }
+    // The mixed workload writes several tables, so a last-table-only
+    // value could not pass.
+    ASSERT_GT(tables_flipped, 1u);
+    EXPECT_EQ(s1.versionsScanned, sum.versionsScanned);
+    EXPECT_EQ(s1.versionsSkipped, sum.versionsSkipped);
+    EXPECT_EQ(s1.bitsFlipped, sum.bitsFlipped);
+    EXPECT_EQ(s1.metadataBytesRead, sum.metadataBytesRead);
+    EXPECT_EQ(s1.bitmapBytesWritten, sum.bitmapBytesWritten);
 }
 
 TEST_F(ParallelMaintenanceTest, DefragChargeStatsAndAnswersIdentical)

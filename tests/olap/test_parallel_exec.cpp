@@ -10,6 +10,7 @@
 #include "common/worker_pool.hpp"
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
+#include "support/reference_executor.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 
@@ -17,6 +18,7 @@ namespace pushtap::olap {
 namespace {
 
 using txn::Database;
+using workload::ChTable;
 using txn::DatabaseConfig;
 using txn::InstanceFormat;
 using txn::TpccEngine;
@@ -137,6 +139,193 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return "Unknown";
     });
+
+// ---- the FlatTable family vs the reference executor ---------------
+
+/**
+ * Plans shaped to drive every member of the hash-table family
+ * (group tables, subquery tables, inner-join build tables, existence
+ * sets) and the shared top-k materialization tail through their edge
+ * cases.
+ */
+std::vector<QueryPlan>
+flatTablePlans()
+{
+    std::vector<QueryPlan> out;
+
+    // Group domain past DenseGroupAggregator::kMaxDomain (s_i_id
+    // spans every item), so the dense aggregator spills mid-stream;
+    // Min/Max over negative values, a Sum that wraps, and ORDER BY a
+    // low-cardinality aggregate (ties) with a LIMIT just below the
+    // group count, so nearly every group shows.
+    QueryPlan spill;
+    spill.name = "spill";
+    spill.probe.table = ChTable::Stock;
+    spill.groupBy = {{ColRef::kProbe, "s_i_id"}};
+    spill.aggregates = {
+        {AggKind::Min, {},
+         ex::sub(ex::lit(0), ex::col("s_quantity"))},
+        {AggKind::Max, {},
+         ex::sub(ex::lit(-1000), ex::col("s_order_cnt"))},
+        {AggKind::Sum, {},
+         ex::mul(ex::col("s_quantity"),
+                 ex::lit(std::int64_t{1} << 61))},
+        {AggKind::Sum, {ColRef::kProbe, "s_quantity"}}};
+    spill.orderBy = {{SortKey::Target::Aggregate, 0, false},
+                     {SortKey::Target::Count, 0, true}};
+    spill.limit = 4500;
+    out.push_back(spill);
+
+    // The same folds ungrouped (the fused single-group pass): the
+    // wrapping Sum crosses int64 many times over.
+    QueryPlan total = spill;
+    total.name = "ungrouped";
+    total.groupBy.clear();
+    total.orderBy.clear();
+    total.limit = 0;
+    out.push_back(total);
+
+    // Key arity 1..8 over Orders Int columns, ORDER BY the group
+    // count (heavy ties) with a LIMIT.
+    const char *cols[] = {"o_ol_cnt",  "o_d_id",     "o_carrier_id",
+                          "o_c_id",    "o_all_local", "o_id",
+                          "o_w_id",    "o_entry_d"};
+    for (std::size_t arity = 1; arity <= InlineKey::kMaxKeys;
+         ++arity) {
+        QueryPlan p;
+        p.name = "arity" + std::to_string(arity);
+        p.probe.table = ChTable::Orders;
+        for (std::size_t c = 0; c < arity; ++c)
+            p.groupBy.push_back({ColRef::kProbe, cols[c]});
+        p.aggregates = {
+            {AggKind::Sum, {ColRef::kProbe, "o_ol_cnt"}},
+            {AggKind::Max, {},
+             ex::sub(ex::lit(0), ex::col("o_entry_d"))}};
+        p.orderBy = {{SortKey::Target::Count, 0, true}};
+        p.limit = 50;
+        out.push_back(std::move(p));
+    }
+
+    // Inner joins with duplicate build keys: every customer id
+    // matches several orders (o_c_id repeats across districts), and
+    // every order several lines through a payload-keyed second join.
+    QueryPlan dup;
+    dup.name = "dupkeys";
+    dup.probe.table = ChTable::Customer;
+    JoinSpec orders;
+    orders.build.table = ChTable::Orders;
+    orders.kind = JoinKind::Inner;
+    orders.keys = {{"o_c_id", {ColRef::kProbe, "c_id"}}};
+    orders.payload = {"o_id", "o_d_id", "o_w_id", "o_entry_d"};
+    JoinSpec lines;
+    lines.build.table = ChTable::OrderLine;
+    lines.kind = JoinKind::Inner;
+    lines.keys = {{"ol_o_id", {0, "o_id"}},
+                  {"ol_d_id", {0, "o_d_id"}},
+                  {"ol_w_id", {0, "o_w_id"}}};
+    lines.payload = {"ol_amount", "ol_i_id"};
+    dup.joins = {orders, lines};
+    dup.groupBy = {{ColRef::kProbe, "c_d_id"}, {1, "ol_i_id"}};
+    dup.aggregates = {{AggKind::Sum, {1, "ol_amount"}},
+                      {AggKind::Max, {0, "o_entry_d"}},
+                      {AggKind::Min, {},
+                       ex::sub(ex::col(0, "o_id"),
+                               ex::col(ColRef::kProbe, "c_id"))}};
+    dup.orderBy = {{SortKey::Target::Aggregate, 0, true}};
+    dup.limit = 25;
+    out.push_back(std::move(dup));
+
+    // A subquery table with thousands of groups and negative
+    // Min/Max slots, probed per OrderLine row: keep the lines
+    // cheaper than their item's most expensive line.
+    QueryPlan sub;
+    sub.name = "subquery";
+    sub.probe.table = ChTable::OrderLine;
+    SubquerySpec stats;
+    stats.source.table = ChTable::OrderLine;
+    stats.groupBy = {"ol_i_id"};
+    stats.aggs = {{AggKind::Min, ex::sub(ex::lit(0), ex::col("ol_amount"))},
+                  {AggKind::Max, ex::sub(ex::col("ol_quantity"),
+                                         ex::lit(100))},
+                  {AggKind::Sum, ex::lit(1)}};
+    stats.keys = {{ColRef::kProbe, "ol_i_id"}};
+    sub.subqueries = {std::move(stats)};
+    sub.probe.exprPredicates = {
+        ex::gt(ex::sub(ex::lit(0), ex::col("ol_amount")),
+               ex::subq(0, 0))};
+    sub.groupBy = {{ColRef::kProbe, "ol_number"}};
+    sub.aggregates = {{AggKind::Sum, {ColRef::kProbe, "ol_amount"}}};
+    out.push_back(std::move(sub));
+
+    // Two-column existence sets: a semi and an anti join keyed on
+    // (order id, district) — the multi-key filter-join probe.
+    for (const auto kind : {JoinKind::Semi, JoinKind::Anti}) {
+        QueryPlan p;
+        p.name = kind == JoinKind::Semi ? "semi2" : "anti2";
+        p.probe.table = ChTable::OrderLine;
+        JoinSpec j;
+        j.build.table = ChTable::Orders;
+        j.build.intPredicates = {{"o_carrier_id", 1, 5}};
+        j.kind = kind;
+        j.keys = {{"o_id", {ColRef::kProbe, "ol_o_id"}},
+                  {"o_d_id", {ColRef::kProbe, "ol_d_id"}}};
+        p.joins = {std::move(j)};
+        p.groupBy = {{ColRef::kProbe, "ol_d_id"}};
+        p.aggregates = {{AggKind::Sum, {ColRef::kProbe, "ol_amount"}}};
+        out.push_back(std::move(p));
+    }
+    return out;
+}
+
+/**
+ * Every FlatTable-shaped plan, across workers {1, 2, 4} x shards
+ * {1, 3, 8}, byte-identical to the independently-mechanised
+ * reference executor. A larger database than smallConfig(): Stock
+ * holds 5 000 items, so group domains outgrow the dense aggregator.
+ */
+TEST(FlatTableExec, PlansMatchReferenceAcrossWorkersAndShards)
+{
+    auto cfg = smallConfig();
+    cfg.scale = 0.00025;
+    Database db(cfg);
+    format::BandwidthModel bw(8, 8, true);
+    dram::BatchTimingModel timing(dram::Geometry::dimmDefault(),
+                                  dram::TimingParams::ddr5_3200());
+    TpccEngine oltp(db, InstanceFormat::Unified, bw, timing, 41);
+    OlapEngine engine(db, OlapConfig::pushtapDimm());
+    for (int i = 0; i < 60; ++i)
+        oltp.executeMixed();
+    engine.prepareSnapshot(db.now());
+    // Past the dense aggregator's 4096-key domain.
+    ASSERT_GT(db.table(ChTable::Stock).populatedRows(), 4096u);
+
+    for (const auto &plan : flatTablePlans()) {
+        const auto want = testsupport::referenceExecute(db, plan);
+        ASSERT_FALSE(want.empty()) << plan.name;
+        for (const std::uint32_t workers : {1u, 2u, 4u}) {
+            WorkerPool pool(workers);
+            for (const std::uint32_t shards : {1u, 3u, 8u}) {
+                ExecOptions opts;
+                opts.shards = shards;
+                opts.workers = workers;
+                opts.pool = workers > 1 ? &pool : nullptr;
+                const auto got = executePlan(db, plan, opts);
+                const auto what = plan.name + " w" +
+                                  std::to_string(workers) + " s" +
+                                  std::to_string(shards);
+                ASSERT_EQ(got.result.rows.size(), want.size()) << what;
+                for (std::size_t i = 0; i < want.size(); ++i) {
+                    EXPECT_EQ(got.result.rows[i].keys, want[i].keys)
+                        << what << " row " << i;
+                    EXPECT_EQ(got.result.rows[i].aggs, want[i].aggs)
+                        << what << " row " << i;
+                    EXPECT_EQ(got.result.rows[i].count, want[i].count)
+                        << what << " row " << i;
+                }
+            }
+        }
+    }
+}
 
 TEST(ExecOptionsValidation, RejectsBadKnobs)
 {

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -287,10 +288,12 @@ TEST(SimdKernels, DecodeIntStrideMatchesManualDecode)
 
 TEST(SimdKernels, FlatKeySetMatchesUnorderedSet)
 {
+    // FlatKeySet is the zero-slot FlatTable: the single-int existence
+    // set the bulk probe runs over, plus multi-int keys through the
+    // generic path.
     Rng rng(131);
     simd::FlatKeySet set;
     std::unordered_set<std::int64_t> ref;
-    set.reserve(1000);
     for (int i = 0; i < 1000; ++i) {
         const auto k =
             static_cast<std::int64_t>(rng.below(5000)) - 2500;
@@ -323,6 +326,105 @@ TEST(SimdKernels, FlatKeySetMatchesUnorderedSet)
                 if (ref.count(keys[i]) != anti)
                     want.push_back(i);
             EXPECT_EQ(kept, want) << "n=" << n << " anti=" << anti;
+        }
+    }
+}
+
+TEST(SimdKernels, FlatKeySetMultiIntKeys)
+{
+    Rng rng(132);
+    for (std::uint32_t arity = 2; arity <= InlineKey::kMaxKeys;
+         ++arity) {
+        simd::FlatKeySet set(arity);
+        std::unordered_set<InlineKey, InlineKeyHash> ref;
+        auto randomKey = [&] {
+            InlineKey k;
+            k.n = arity;
+            for (std::uint32_t c = 0; c < arity; ++c)
+                k.v[c] = static_cast<std::int64_t>(rng.below(4)) - 2;
+            return k;
+        };
+        for (int i = 0; i < 3000; ++i) {
+            const auto k = randomKey();
+            set.insert(k);
+            ref.insert(k);
+        }
+        EXPECT_EQ(set.size(), ref.size()) << arity;
+        for (int i = 0; i < 3000; ++i) {
+            const auto k = randomKey();
+            EXPECT_EQ(set.contains(k), ref.count(k) != 0) << arity;
+        }
+        // Keys of another arity are never members and never enter.
+        InlineKey other;
+        other.n = arity - 1;
+        EXPECT_FALSE(set.contains(other));
+        EXPECT_THROW(set.insert(other), FatalError);
+    }
+    SelectionVector sel = iota(2);
+    const std::vector<std::int64_t> keys = {1, 2};
+    EXPECT_THROW(simd::FlatKeySet(2).filterContains1(keys, sel, false),
+                 FatalError);
+}
+
+TEST(SimdKernels, FlatTableMatchesUnorderedMap)
+{
+    // The slotted family member against a node map: entries keep
+    // their insertion-order index through every rehash, partitions
+    // follow the hash's top bits, and slots/counts stay attached to
+    // their key.
+    Rng rng(133);
+    for (std::uint32_t arity = 0; arity <= InlineKey::kMaxKeys;
+         ++arity) {
+        FlatTable table(arity, {7, -7});
+        EXPECT_EQ(table.keyWidth(), arity);
+        EXPECT_EQ(table.slotCount(), 2u);
+        struct Ref
+        {
+            std::size_t part;
+            std::uint32_t entry;
+            std::int64_t sum = 7;
+            std::uint64_t count = 0;
+        };
+        std::unordered_map<InlineKey, Ref, InlineKeyHash> ref;
+        for (int i = 0; i < 8000; ++i) {
+            InlineKey k;
+            k.n = arity;
+            for (std::uint32_t c = 0; c < arity; ++c)
+                k.v[c] = static_cast<std::int64_t>(rng.below(
+                             arity <= 1 ? 8000 : 12)) -
+                         5;
+            const std::uint64_t h = hashKey(k.v.data(), k.n);
+            const std::size_t p = partitionOf(h);
+            auto &part = table.part(p);
+            const auto e = part.findOrInsert(k.v.data(), h);
+            const auto [it, fresh] = ref.try_emplace(k, Ref{p, e});
+            EXPECT_EQ(it->second.part, p);
+            EXPECT_EQ(it->second.entry, e);
+            if (fresh) {
+                EXPECT_EQ(part.slots(e)[0], 7);
+                EXPECT_EQ(part.slots(e)[1], -7);
+            }
+            part.slots(e)[0] += i;
+            it->second.sum += i;
+            ++part.count(e);
+            ++it->second.count;
+        }
+        ASSERT_EQ(table.size(), ref.size()) << arity;
+        for (const auto &[k, r] : ref) {
+            const auto loc = table.locate(k);
+            ASSERT_EQ(loc.part, &table.part(r.part));
+            ASSERT_EQ(loc.entry, r.entry);
+            EXPECT_TRUE(std::equal(k.v.begin(), k.v.begin() + arity,
+                                   loc.part->key(r.entry)));
+            EXPECT_EQ(table.findSlots(k)[0], r.sum);
+            EXPECT_EQ(table.findSlots(k)[1], -7);
+            EXPECT_EQ(loc.part->count(r.entry), r.count);
+        }
+        if (arity > 0) { // The empty key is always present.
+            InlineKey absent;
+            absent.n = arity;
+            absent.v.fill(1'000'000);
+            EXPECT_EQ(table.findSlots(absent), nullptr);
         }
     }
 }

@@ -77,14 +77,6 @@ class AnalyticOlapModel
                             const olap::QueryPlan &plan,
                             std::uint64_t pending_versions) const;
 
-    /** Q1/Q6/Q9 plan wrappers (predicate values do not affect cost). */
-    BaselineReport q1(BaselineKind kind,
-                      std::uint64_t pending_versions) const;
-    BaselineReport q6(BaselineKind kind,
-                      std::uint64_t pending_versions) const;
-    BaselineReport q9(BaselineKind kind,
-                      std::uint64_t pending_versions) const;
-
     /**
      * Rebuild cost for @p versions pending transactions: the CPU
      * transfers every new-versioned row plus its metadata to the PIM

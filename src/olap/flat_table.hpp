@@ -56,7 +56,8 @@ struct InlineKey
     }
 
     /** Lexicographic over the used slots (== std::map<vector> order
-     *  of the scalar executor when every key has the same arity). */
+     *  of the reference executor when every key has the same
+     *  arity). */
     bool
     operator<(const InlineKey &o) const
     {

@@ -27,11 +27,9 @@
  * either is probed strictly read-only by the fan-out. Per-worker
  * partial accumulators are consolidated by a deterministic ordered
  * merge, so results are byte-identical to the single-threaded run
- * for every workers x shards configuration.
- * executePlanScalar() keeps the original row-at-a-time pipeline as
- * an independently-mechanised reference: both must produce
- * byte-identical results, and the fig9b bench reports their host
- * wall-clock side by side.
+ * for every workers x shards configuration. It is the only
+ * executor: the test suites check it against an independently
+ * mechanised reference (tests/support/reference_executor.hpp).
  *
  * The operators compute exact results over the MVCC snapshot — every
  * aggregate is verifiable against a reference scan through the
@@ -42,15 +40,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitmap.hpp"
 #include "common/types.hpp"
 #include "olap/batch.hpp"
 #include "olap/plan.hpp"
-#include "storage/table_store.hpp"
 #include "txn/database.hpp"
 
 namespace pushtap {
@@ -58,78 +54,6 @@ class WorkerPool;
 }
 
 namespace pushtap::olap {
-
-/** Apply fn(region, row) to every snapshot-visible row of a table. */
-template <typename Fn>
-void
-forEachVisibleRow(const storage::TableStore &store, Fn &&fn)
-{
-    const auto &dv = store.dataVisible();
-    for (std::size_t r = dv.findNext(0); r < dv.size();
-         r = dv.findNext(r + 1))
-        fn(storage::Region::Data, static_cast<RowId>(r));
-    const auto &xv = store.deltaVisible();
-    for (std::size_t r = xv.findNext(0); r < xv.size();
-         r = xv.findNext(r + 1))
-        fn(storage::Region::Delta, static_cast<RowId>(r));
-}
-
-/**
- * Row-at-a-time typed scan of one column of one table: the PIM
- * units' localized single read for unfragmented (key) columns, the
- * CPU fragment-gather path otherwise. Used by the scalar reference
- * executor; the batch engine reads through olap/batch.hpp instead.
- */
-class ColumnScanner
-{
-  public:
-    ColumnScanner(const txn::TableRuntime &tbl,
-                  const std::string &column);
-
-    const format::Column &column() const { return *column_; }
-
-    std::int64_t intAt(storage::Region reg, RowId r) const;
-
-    /**
-     * Copy the raw column bytes of one row into @p out (at least the
-     * column's width). The caller owns the buffer, so no view of
-     * scanner-internal scratch ever escapes.
-     */
-    void charsAt(storage::Region reg, RowId r,
-                 std::span<std::uint8_t> out) const;
-
-  private:
-    const storage::TableStore *store_;
-    const format::Column *column_;
-    ColumnId col_;
-    bool single_; ///< One fragment: the fast columnValue path.
-    mutable std::vector<std::uint8_t> buf_; ///< intAt decode scratch.
-};
-
-/** Predicate filter over one table's pushed-down predicates. */
-class RowFilter
-{
-  public:
-    RowFilter(const txn::TableRuntime &tbl, const TableInput &input);
-
-    bool pass(storage::Region reg, RowId r) const;
-
-  private:
-    struct IntPred
-    {
-        ColumnScanner scan;
-        std::int64_t lo, hi;
-    };
-    struct CharPred
-    {
-        ColumnScanner scan;
-        std::string prefix;
-        bool negate;
-        mutable std::vector<std::uint8_t> buf; ///< Per-pred bytes.
-    };
-    std::vector<IntPred> intPreds_;
-    std::vector<CharPred> charPreds_;
-};
 
 /** One output row of a plan. */
 struct ResultRow
@@ -158,12 +82,10 @@ struct JoinExecStats
  * (probe filter pass rates, per-join survival/expansion ratios)
  * instead of assumed ones. All counts are deterministic sums over
  * the per-worker partials, so they are identical for every workers x
- * shards configuration. Left at the defaults (collected == false)
- * when the scalar reference executor ran.
+ * shards configuration.
  */
 struct ExecStats
 {
-    bool collected = false;
     /** Snapshot-visible probe rows entering the predicate chain. */
     std::uint64_t probeVisible = 0;
     /** Probe rows surviving the pushed-down predicate chain. */
@@ -184,7 +106,7 @@ struct PlanExecution
     /**
      * Number of distinct probe Int columns the batch engine streamed
      * in a single fused filter+group+aggregate pass (0 when a join
-     * intervened or the scalar executor ran). OlapConfig::fuseScans
+     * descended through the match expansion). OlapConfig::fuseScans
      * prices these as one serial scan instead of one per operator
      * input.
      */
@@ -195,17 +117,17 @@ struct PlanExecution
      * phase (partitioned scan + stitch + existence-set flatten), the
      * probe fan-out, and the final cross-worker merge/materialize.
      * Measured time, not modelled — the pricing walks never read
-     * these. All zero when the scalar reference executor ran.
+     * these.
      */
     double subqueryNs = 0.0;
     double buildNs = 0.0;
     double probeNs = 0.0;
     double mergeNs = 0.0;
-    /** Observed selectivity statistics (batch engine only). */
+    /** Observed selectivity statistics. */
     ExecStats stats;
     /**
-     * Filled when ExecOptions::captureGroups was set and the batch
-     * engine ran: the merged cross-worker group table the result was
+     * Filled when ExecOptions::captureGroups was set (empty
+     * otherwise): the merged cross-worker group table the result was
      * materialized from — one entry per group with count > 0, keyed
      * by the inline group key (empty for ungrouped plans), one slot
      * per plan aggregate. Folding two captures with foldGroups() and
@@ -213,15 +135,13 @@ struct PlanExecution
      * cold run over the union of their input rows: every aggregate
      * kind is a commutative, associative fold (wrapping sums, counts,
      * min/max), which is what makes delta-incremental re-execution
-     * exact. False when the scalar fallback executed — scalar runs
-     * never capture.
+     * exact.
      */
-    bool groupsCaptured = false;
     FlatTable groups;
 };
 
 /**
- * Host-side execution options of the batch engine: how the probe
+ * Host-side execution options of executePlan(): how the probe
  * table is partitioned into shards (contiguous block-aligned row
  * ranges modelling independent bank stripes, see
  * txn::TableRuntime::shardMap) and how many worker threads the
@@ -244,8 +164,7 @@ struct ExecOptions
     WorkerPool *pool = nullptr;
     /**
      * Capture the merged group accumulators into
-     * PlanExecution::groups (batch engine only; the scalar fallback
-     * ignores it). The result cache sets this on cold and
+     * PlanExecution::groups. The result cache sets this on cold and
      * incremental runs so the accumulators can seed later
      * delta-incremental re-executions.
      */
@@ -269,9 +188,7 @@ struct ExecOptions
  * Execute @p plan exactly over the current snapshot bitmaps of @p db
  * with the morsel-driven batch engine, fanning per-shard pipelines
  * out over @p opts' worker pool. The plan is validated first (fatal
- * on malformed plans). Plans whose join or group keys exceed the
- * batch engine's inline-key capacity (8 columns) fall back to the
- * scalar executor — same results, row-at-a-time speed.
+ * on malformed plans, including key sets wider than kMaxKeyColumns).
  */
 PlanExecution executePlan(const txn::Database &db,
                           const QueryPlan &plan,
@@ -280,23 +197,14 @@ PlanExecution executePlan(const txn::Database &db,
 /**
  * True when the batch engine runs @p plan's whole probe pass fused
  * (predicates + filter joins + grouping + aggregation in one morsel
- * loop): the plan fits the inline-key engine (no scalar fallback)
- * and every join is a probe-keyed selection kernel — a semi or anti
- * join keyed purely on probe columns. Inner joins and payload-keyed
- * joins descend through the match expansion instead. Defined next to
- * the executor's own classification so the OlapConfig::fuseScans
- * pricing gate and the fusedScanColumns report cannot drift.
+ * loop): every join is a probe-keyed selection kernel — a semi or
+ * anti join keyed purely on probe columns. Inner joins and
+ * payload-keyed joins descend through the match expansion instead.
+ * Defined next to the executor's own classification so the
+ * OlapConfig::fuseScans pricing gate and the fusedScanColumns report
+ * cannot drift.
  */
 bool planFusesProbePass(const QueryPlan &plan);
-
-/**
- * True when @p plan fits the inline-key batch engine (group-by and
- * every join's key set within InlineKey capacity). Plans that don't
- * fit fall back to the scalar executor, which cannot capture group
- * accumulators — the result cache uses this as an eligibility gate
- * for delta-incremental re-execution.
- */
-bool fitsBatchEngine(const QueryPlan &plan);
 
 /**
  * Fold @p from into @p into with the batch engine's cross-worker
@@ -317,15 +225,5 @@ void foldGroups(const QueryPlan &plan, FlatTable &into,
  */
 QueryResult materializeGroups(const QueryPlan &plan,
                               const FlatTable &groups);
-
-/**
- * Row-at-a-time reference executor (the pre-batching pipeline):
- * per-row typed scans, string-encoded hash keys, ordered-map
- * grouping. Kept as an independently-mechanised oracle for the
- * batch engine and as the baseline the fig9b bench measures host
- * wall-clock speedup against.
- */
-PlanExecution executePlanScalar(const txn::Database &db,
-                                const QueryPlan &plan);
 
 } // namespace pushtap::olap

@@ -112,6 +112,11 @@ struct AggSpec
     ExprPtr expr{};
 };
 
+/** Column cap of every key set a plan may declare — subquery keys,
+ *  group keys and join keys (the executor keys its hash tables on
+ *  the batch layer's inline int tuple). validatePlan enforces it. */
+inline constexpr std::size_t kMaxKeyColumns = 8;
+
 /** One aggregate of a scalar subquery (over the source table). */
 struct SubqueryAgg
 {
@@ -131,10 +136,6 @@ struct SubqueryAgg
  * the Q17/Q20 `qty < 0.2 * AVG(qty) per item` shape, with AVG
  * spelled exactly in integers via separate sum and count slots.
  */
-/** Group-key arity cap of a scalar subquery (the materialized
- *  lookup keys on the batch layer's inline int tuple). */
-inline constexpr std::size_t kMaxSubqueryGroupKeys = 8;
-
 struct SubquerySpec
 {
     TableInput source;
@@ -212,8 +213,8 @@ std::set<std::string> fusedProbeColumns(const QueryPlan &plan);
 /**
  * Structural validation against the CH schemas: referenced columns
  * exist with the right ColType, join-key/group/aggregate references
- * resolve to the probe table or an earlier Inner join's payload.
- * fatal() on violation.
+ * resolve to the probe table or an earlier Inner join's payload, and
+ * no key set is wider than kMaxKeyColumns. fatal() on violation.
  */
 void validatePlan(const QueryPlan &plan);
 

@@ -57,12 +57,10 @@ std::vector<workload::ChTable> planFootprint(const QueryPlan &plan);
 
 /**
  * Static half of the delta-incremental eligibility gate: the plan
- * must fit the inline-key batch engine (the scalar fallback cannot
- * capture group accumulators) and carry no anti join (kept
- * conservatively out per the fallback contract — a NOT EXISTS over a
- * footprint that moved is the classic non-monotone trap). The
- * dynamic half — which tables moved and how — is checked per run by
- * the engine against the cached entry.
+ * carries no anti join (kept conservatively out per the fallback
+ * contract — a NOT EXISTS over a footprint that moved is the classic
+ * non-monotone trap). The dynamic half — which tables moved and how
+ * — is checked per run by the engine against the cached entry.
  */
 bool incrementalCapable(const QueryPlan &plan);
 
@@ -78,9 +76,8 @@ class ResultCache
          *  incremental baseline. */
         Bitmap probeData;
         Bitmap probeDelta;
-        /** Merged group table (PlanExecution::groups), when the
-         *  batch engine captured it. */
-        bool hasGroups = false;
+        /** Merged group table (PlanExecution::groups) behind
+         *  `result`. */
         FlatTable groups;
         /** Snapshot-visible probe rows behind `groups`. */
         std::uint64_t rowsVisible = 0;

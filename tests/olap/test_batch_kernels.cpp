@@ -15,6 +15,7 @@
 #include "olap/batch.hpp"
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
+#include "support/reference_check.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 
@@ -22,6 +23,8 @@ namespace pushtap::olap {
 namespace {
 
 using storage::Region;
+using testsupport::expectExecution;
+using testsupport::referenceAnswer;
 using txn::Database;
 using txn::DatabaseConfig;
 using txn::InstanceFormat;
@@ -136,10 +139,9 @@ TEST(MorselVisibility, MatchesFindNextWalk)
         dv.clear(r);
 
     std::vector<RowId> expect;
-    forEachVisibleRow(store, [&](Region reg, RowId r) {
-        if (reg == Region::Data)
-            expect.push_back(r);
-    });
+    for (std::size_t r = dv.findNext(0); r < dv.size();
+         r = dv.findNext(r + 1))
+        expect.push_back(static_cast<RowId>(r));
 
     std::vector<RowId> got;
     SelectionVector sel;
@@ -167,7 +169,17 @@ TEST(MorselVisibility, EmptyRegionYieldsEmptySelections)
     });
 }
 
-// ---- batch decode vs the scalar column scanner -------------------
+// ---- batch decode vs per-row byte reads --------------------------
+
+/** One row's column bytes, gathered fragment by fragment. */
+std::vector<std::uint8_t>
+rowBytes(const storage::TableStore &store, ColumnId c, Region reg,
+         RowId r)
+{
+    std::vector<std::uint8_t> out(store.schema().column(c).width);
+    store.readColumnBytes(reg, c, r, out);
+    return out;
+}
 
 class BatchDecodeTest
     : public ::testing::TestWithParam<InstanceFormat>
@@ -193,35 +205,33 @@ class BatchDecodeTest
         const auto &store = tbl.store();
         for (const auto &col : tbl.schema().columns()) {
             const BatchColumnReader rd(store, col.name);
-            const ColumnScanner scan(tbl, col.name);
+            const ColumnId cid = tbl.schema().columnId(col.name);
             SelectionVector sel;
             ColumnBatch batch;
-            std::vector<std::uint8_t> row_buf(col.width);
             forEachMorsel(store, [&](const Morsel &m) {
                 visibleRows(store, m, sel);
                 if (col.type == format::ColType::Int) {
                     rd.gatherInts(m, sel.span(), batch);
                     ASSERT_EQ(batch.ints.size(), sel.size());
-                    for (std::size_t i = 0; i < sel.size(); ++i)
+                    for (std::size_t i = 0; i < sel.size(); ++i) {
+                        const RowId r = m.base + sel.idx[i];
                         ASSERT_EQ(batch.ints[i],
-                                  scan.intAt(m.reg,
-                                             m.base + sel.idx[i]))
-                            << col.name << " row "
-                            << m.base + sel.idx[i];
+                                  format::decodeValue(
+                                      col, rowBytes(store, cid, m.reg, r)))
+                            << col.name << " row " << r;
+                    }
                 }
                 rd.gatherChars(m, sel.span(), batch);
                 ASSERT_EQ(batch.chars.size(),
                           sel.size() * col.width);
                 for (std::size_t i = 0; i < sel.size(); ++i) {
-                    scan.charsAt(m.reg, m.base + sel.idx[i],
-                                 row_buf);
+                    const RowId r = m.base + sel.idx[i];
+                    const auto want = rowBytes(store, cid, m.reg, r);
                     ASSERT_EQ(std::memcmp(batch.chars.data() +
                                               i * col.width,
-                                          row_buf.data(),
-                                          col.width),
+                                          want.data(), col.width),
                               0)
-                        << col.name << " row "
-                        << m.base + sel.idx[i];
+                        << col.name << " row " << r;
                 }
             });
         }
@@ -234,7 +244,7 @@ class BatchDecodeTest
     OlapEngine engine;
 };
 
-TEST_P(BatchDecodeTest, EveryColumnMatchesScalarScanner)
+TEST_P(BatchDecodeTest, EveryColumnMatchesPerRowReads)
 {
     expectAllColumnsMatch(ChTable::OrderLine);
     expectAllColumnsMatch(ChTable::Orders);
@@ -270,7 +280,7 @@ INSTANTIATE_TEST_SUITE_P(
         return "Unknown";
     });
 
-TEST(BatchDecodeFragmented, GatherFallbackMatchesScalar)
+TEST(BatchDecodeFragmented, GatherFallbackMatchesPerRowReads)
 {
     // With only Q1's columns as keys, most columns fragment: the
     // reader must fall back to the per-row gather with identical
@@ -287,7 +297,7 @@ TEST(BatchDecodeFragmented, GatherFallbackMatchesScalar)
         saw_fragmented |= !rd.strided();
         if (col.type != format::ColType::Int)
             continue;
-        const ColumnScanner scan(tbl, col.name);
+        const ColumnId cid = tbl.schema().columnId(col.name);
         SelectionVector sel;
         ColumnBatch batch;
         forEachMorsel(store, [&](const Morsel &m) {
@@ -295,40 +305,21 @@ TEST(BatchDecodeFragmented, GatherFallbackMatchesScalar)
             rd.gatherInts(m, sel.span(), batch);
             for (std::size_t i = 0; i < sel.size(); ++i)
                 ASSERT_EQ(batch.ints[i],
-                          scan.intAt(m.reg, m.base + sel.idx[i]))
+                          format::decodeValue(
+                              col, rowBytes(store, cid, m.reg,
+                                            m.base + sel.idx[i])))
                     << col.name;
         });
     }
     EXPECT_TRUE(saw_fragmented);
 }
 
-// ---- batch executor vs the scalar reference pipeline -------------
+// ---- batch executor vs the reference executor --------------------
 
-void
-expectSameExecution(const PlanExecution &got,
-                    const PlanExecution &want,
-                    const std::string &what)
-{
-    EXPECT_EQ(got.rowsVisible, want.rowsVisible) << what;
-    ASSERT_EQ(got.result.rows.size(), want.result.rows.size())
-        << what;
-    for (std::size_t i = 0; i < want.result.rows.size(); ++i) {
-        EXPECT_EQ(got.result.rows[i].keys,
-                  want.result.rows[i].keys)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].aggs,
-                  want.result.rows[i].aggs)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].count,
-                  want.result.rows[i].count)
-            << what << " row " << i;
-    }
-}
-
-class BatchVsScalarTest : public ::testing::Test
+class BatchVsReferenceTest : public ::testing::Test
 {
   protected:
-    BatchVsScalarTest()
+    BatchVsReferenceTest()
         : db(smallConfig()),
           bw(8, 8, true),
           timing(dram::Geometry::dimmDefault(),
@@ -341,26 +332,35 @@ class BatchVsScalarTest : public ::testing::Test
         engine.prepareSnapshot(db.now());
     }
 
+    /** Execute @p p and check it against the reference. */
+    PlanExecution
+    expectMatchesReference(const QueryPlan &p, const std::string &what)
+    {
+        auto got = executePlan(db, p);
+        expectExecution(got, referenceAnswer(tables, p), what);
+        return got;
+    }
+
     Database db;
     format::BandwidthModel bw;
     dram::BatchTimingModel timing;
     TpccEngine oltp;
     OlapEngine engine;
+    /** Reads rows on first use, after the constructor's commits. */
+    testsupport::RefTables tables{db};
 };
 
-TEST_F(BatchVsScalarTest, AllExecutablePlansMatch)
+TEST_F(BatchVsReferenceTest, AllExecutablePlansMatch)
 {
     for (const auto &q : workload::chExecutablePlans())
-        expectSameExecution(executePlan(db, q.plan),
-                            executePlanScalar(db, q.plan),
-                            q.plan.name);
+        expectMatchesReference(q.plan, q.plan.name);
 }
 
-TEST_F(BatchVsScalarTest, FusedPassEqualsUnfusedOnRandomPlans)
+TEST_F(BatchVsReferenceTest, FusedPassEqualsUnfusedOnRandomPlans)
 {
     // Property: the batch engine's fused filter+aggregate pass
-    // (joins absent) and its joined pipeline both equal the scalar
-    // executor on randomized plans.
+    // (joins absent) and its joined pipeline both equal the
+    // reference executor on randomized plans.
     Rng rng(20260725);
     for (int it = 0; it < 24; ++it) {
         QueryPlan p;
@@ -392,9 +392,7 @@ TEST_F(BatchVsScalarTest, FusedPassEqualsUnfusedOnRandomPlans)
         // positive on operator+(const char*, string&&) (PR 105651).
         p.name += std::string("#") + std::to_string(it);
 
-        const auto batch = executePlan(db, p);
-        expectSameExecution(batch, executePlanScalar(db, p),
-                            p.name);
+        const auto batch = expectMatchesReference(p, p.name);
         // Fusion is reported exactly when the whole probe pass
         // stays one fused kernel: join-free, or every join a
         // probe-keyed semi/anti existence filter.
@@ -405,7 +403,7 @@ TEST_F(BatchVsScalarTest, FusedPassEqualsUnfusedOnRandomPlans)
     }
 }
 
-TEST_F(BatchVsScalarTest, MinMaxAggregatesMatchAcrossExecutors)
+TEST_F(BatchVsReferenceTest, MinMaxAggregatesMatchReference)
 {
     QueryPlan p;
     p.name = "minmax";
@@ -413,16 +411,14 @@ TEST_F(BatchVsScalarTest, MinMaxAggregatesMatchAcrossExecutors)
     p.aggregates = {{AggKind::Min, {ColRef::kProbe, "ol_amount"}},
                     {AggKind::Max, {ColRef::kProbe, "ol_amount"}},
                     {AggKind::Sum, {ColRef::kProbe, "ol_quantity"}}};
-    expectSameExecution(executePlan(db, p),
-                        executePlanScalar(db, p), p.name);
+    expectMatchesReference(p, p.name);
 
     // Grouped variant exercises per-group Min/Max seeding.
     p.groupBy = {{ColRef::kProbe, "ol_number"}};
-    expectSameExecution(executePlan(db, p),
-                        executePlanScalar(db, p), "minmax grouped");
+    expectMatchesReference(p, "minmax grouped");
 }
 
-TEST_F(BatchVsScalarTest, FusedScanPricingReducesModelledTime)
+TEST_F(BatchVsReferenceTest, FusedScanPricingReducesModelledTime)
 {
     // With fuseScans on, results stay identical and the modelled
     // PIM time of a fused plan drops (one serial scan instead of

@@ -11,7 +11,7 @@
 #include "olap/expr.hpp"
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
-#include "support/reference_executor.hpp"
+#include "support/reference_check.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 
@@ -244,7 +244,7 @@ TEST(ExprValidation, RejectsExpressionsOutsideTheirContext)
     EXPECT_THROW(validatePlan(p), FatalError);
 }
 
-// ---- random expression trees: batch vs scalar vs naive -------------
+// ---- random expression trees: batch vs the reference executor -----
 
 /**
  * Random expression generator over ORDERLINE. Int trees draw from
@@ -377,50 +377,22 @@ class ExprGen
     Rng rng_;
 };
 
+/** Serial and sharded-parallel runs of @p plan both equal the
+ *  reference executor byte for byte. */
 void
-expectThreeWayAgreement(Database &db, const QueryPlan &plan)
+expectMatchesReference(Database &db, const QueryPlan &plan)
 {
-    const auto scalar = executePlanScalar(db, plan);
-    const auto batch = executePlan(db, plan);
-    ASSERT_EQ(batch.result.rows.size(), scalar.result.rows.size())
-        << plan.name;
-    for (std::size_t i = 0; i < scalar.result.rows.size(); ++i) {
-        EXPECT_EQ(batch.result.rows[i].keys,
-                  scalar.result.rows[i].keys)
-            << plan.name << " row " << i;
-        EXPECT_EQ(batch.result.rows[i].aggs,
-                  scalar.result.rows[i].aggs)
-            << plan.name << " row " << i;
-        EXPECT_EQ(batch.result.rows[i].count,
-                  scalar.result.rows[i].count)
-            << plan.name << " row " << i;
-    }
+    const auto want = testsupport::referenceAnswer(db, plan);
+    testsupport::expectExecution(executePlan(db, plan), want,
+                                 plan.name);
 
-    const auto ref = testsupport::referenceExecute(db, plan);
-    ASSERT_EQ(scalar.result.rows.size(), ref.size()) << plan.name;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-        EXPECT_EQ(scalar.result.rows[i].keys, ref[i].keys)
-            << plan.name << " row " << i;
-        EXPECT_EQ(scalar.result.rows[i].aggs, ref[i].aggs)
-            << plan.name << " row " << i;
-        EXPECT_EQ(scalar.result.rows[i].count, ref[i].count)
-            << plan.name << " row " << i;
-    }
-
-    // And the sharded-parallel fan-out must not change a byte.
     WorkerPool pool(2);
     ExecOptions opts;
     opts.shards = 4;
     opts.workers = 2;
     opts.pool = &pool;
-    const auto parallel = executePlan(db, plan, opts);
-    ASSERT_EQ(parallel.result.rows.size(),
-              scalar.result.rows.size())
-        << plan.name;
-    for (std::size_t i = 0; i < scalar.result.rows.size(); ++i)
-        EXPECT_EQ(parallel.result.rows[i].aggs,
-                  scalar.result.rows[i].aggs)
-            << plan.name << " row " << i;
+    testsupport::expectExecution(executePlan(db, plan, opts), want,
+                                 plan.name + " w2 s4");
 }
 
 /**
@@ -530,14 +502,14 @@ class ExprPropertyTest
     TpccEngine oltp;
 };
 
-TEST_P(ExprPropertyTest, RandomTreesAgreeAcrossAllThreeExecutors)
+TEST_P(ExprPropertyTest, RandomTreesMatchReference)
 {
     Rng rng(97 + static_cast<std::uint64_t>(GetParam()));
     ExprGen gen(1000 + static_cast<std::uint64_t>(GetParam()));
     for (int it = 0; it < 16; ++it) {
         const auto plan = randomPlan(gen, rng, it);
         ASSERT_NO_THROW(validatePlan(plan)) << plan.name;
-        expectThreeWayAgreement(db, plan);
+        expectMatchesReference(db, plan);
     }
 }
 
@@ -568,7 +540,7 @@ TEST(ExprPropertyFragmented, RandomTreesAgreeOnFragmentedLayouts)
     ExprGen gen(5678);
     for (int it = 0; it < 8; ++it) {
         const auto plan = randomPlan(gen, rng, it);
-        expectThreeWayAgreement(db, plan);
+        expectMatchesReference(db, plan);
     }
 }
 
@@ -578,7 +550,7 @@ TEST(ExprPropertyFragmented, CatalogLongTailAgreesOnFragmentedLayouts)
     cfg.olapQuerySubset = 1;
     Database db(cfg);
     for (int n : {2, 8, 10, 11, 16, 17, 20, 21, 22})
-        expectThreeWayAgreement(
+        expectMatchesReference(
             db, *workload::executableQueryPlan(n));
 }
 

@@ -9,12 +9,16 @@
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
 #include "olap/simd_kernels.hpp"
+#include "support/reference_check.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 
 namespace pushtap::olap {
 namespace {
 
+using testsupport::expectExecution;
+using testsupport::referenceAnswer;
+using testsupport::RefAnswer;
 using txn::Database;
 using txn::DatabaseConfig;
 using txn::InstanceFormat;
@@ -34,25 +38,6 @@ smallConfig()
     return cfg;
 }
 
-void
-expectSameExecution(const PlanExecution &got,
-                    const PlanExecution &want,
-                    const std::string &what)
-{
-    EXPECT_EQ(got.rowsVisible, want.rowsVisible) << what;
-    ASSERT_EQ(got.result.rows.size(), want.result.rows.size())
-        << what;
-    for (std::size_t i = 0; i < want.result.rows.size(); ++i) {
-        EXPECT_EQ(got.result.rows[i].keys, want.result.rows[i].keys)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].aggs, want.result.rows[i].aggs)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].count,
-                  want.result.rows[i].count)
-            << what << " row " << i;
-    }
-}
-
 /** Force the scalar reference kernels for one scope. */
 struct ScalarGuard
 {
@@ -63,9 +48,10 @@ struct ScalarGuard
 /**
  * Byte-identity of the partitioned parallel build phase: every
  * catalog plan with a join or subquery, every InstanceFormat, swept
- * across workers x shards against the scalar reference pipeline.
- * In-flight deltas (transactions ingested after the snapshot) stay
- * in the delta region and stress the two-tasks-per-shard scan order.
+ * across workers x shards against the reference executor. In-flight
+ * deltas (transactions ingested after the snapshot) stay in the
+ * delta region and stress the two-tasks-per-shard scan order; the
+ * reference answers are taken at the snapshot, before they commit.
  */
 class ParallelBuildTest
     : public ::testing::TestWithParam<InstanceFormat>
@@ -82,6 +68,9 @@ class ParallelBuildTest
         for (int i = 0; i < 40; ++i)
             oltp.executeMixed();
         engine.prepareSnapshot(db.now());
+        testsupport::RefTables tables(db);
+        for (const auto &q : workload::chExecutablePlans())
+            want.push_back(referenceAnswer(tables, q.plan));
         // In-flight rows: invisible to the snapshot, present in the
         // delta region the build tasks walk.
         for (int i = 0; i < 10; ++i)
@@ -93,9 +82,12 @@ class ParallelBuildTest
     dram::BatchTimingModel timing;
     TpccEngine oltp;
     OlapEngine engine;
+    /** Reference answer per chExecutablePlans() entry, at the
+     *  snapshot. */
+    std::vector<RefAnswer> want;
 };
 
-TEST_P(ParallelBuildTest, BuildPlansMatchScalarAcrossWorkersAndShards)
+TEST_P(ParallelBuildTest, BuildPlansMatchReferenceAcrossWorkersAndShards)
 {
     const std::uint32_t hw = WorkerPool::hardwareWorkers();
     for (const std::uint32_t workers : {1u, 2u, 4u, hw}) {
@@ -105,16 +97,16 @@ TEST_P(ParallelBuildTest, BuildPlansMatchScalarAcrossWorkersAndShards)
             opts.shards = shards;
             opts.workers = workers;
             opts.pool = workers > 1 ? &pool : nullptr;
-            for (const auto &q : workload::chExecutablePlans()) {
-                if (q.plan.joins.empty() &&
-                    q.plan.subqueries.empty())
+            const auto &plans = workload::chExecutablePlans();
+            for (std::size_t p = 0; p < plans.size(); ++p) {
+                const auto &plan = plans[p].plan;
+                if (plan.joins.empty() && plan.subqueries.empty())
                     continue;
-                const auto what =
-                    q.plan.name + " w" + std::to_string(workers) +
-                    " s" + std::to_string(shards);
-                expectSameExecution(
-                    executePlan(db, q.plan, opts),
-                    executePlanScalar(db, q.plan), what);
+                const auto what = plan.name + " w" +
+                                  std::to_string(workers) + " s" +
+                                  std::to_string(shards);
+                expectExecution(executePlan(db, plan, opts), want[p],
+                                what);
             }
         }
     }
@@ -130,10 +122,10 @@ TEST_P(ParallelBuildTest, ForcedScalarDispatchStaysByteIdentical)
     opts.shards = 4;
     opts.workers = 4;
     opts.pool = &pool;
-    for (const auto &q : workload::chExecutablePlans())
-        expectSameExecution(executePlan(db, q.plan, opts),
-                            executePlanScalar(db, q.plan),
-                            q.plan.name + " forced-scalar");
+    const auto &plans = workload::chExecutablePlans();
+    for (std::size_t p = 0; p < plans.size(); ++p)
+        expectExecution(executePlan(db, plans[p].plan, opts), want[p],
+                        plans[p].plan.name + " forced-scalar");
 }
 
 TEST_P(ParallelBuildTest, MorselRowsSweepIsBuildInvariant)
@@ -145,13 +137,14 @@ TEST_P(ParallelBuildTest, MorselRowsSweepIsBuildInvariant)
         opts.workers = 4;
         opts.morselRows = morsel;
         opts.pool = &pool;
-        for (const auto &q : workload::chExecutablePlans()) {
-            if (q.plan.joins.empty() && q.plan.subqueries.empty())
+        const auto &plans = workload::chExecutablePlans();
+        for (std::size_t p = 0; p < plans.size(); ++p) {
+            const auto &plan = plans[p].plan;
+            if (plan.joins.empty() && plan.subqueries.empty())
                 continue;
-            expectSameExecution(
-                executePlan(db, q.plan, opts),
-                executePlanScalar(db, q.plan),
-                q.plan.name + " morsel " + std::to_string(morsel));
+            expectExecution(executePlan(db, plan, opts), want[p],
+                            plan.name + " morsel " +
+                                std::to_string(morsel));
         }
     }
 }

@@ -10,13 +10,17 @@
 #include "common/worker_pool.hpp"
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
-#include "support/reference_executor.hpp"
+#include "support/reference_check.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 
 namespace pushtap::olap {
 namespace {
 
+using testsupport::expectExecution;
+using testsupport::expectRows;
+using testsupport::referenceAnswer;
+using testsupport::RefAnswer;
 using txn::Database;
 using workload::ChTable;
 using txn::DatabaseConfig;
@@ -37,30 +41,12 @@ smallConfig()
     return cfg;
 }
 
-void
-expectSameExecution(const PlanExecution &got,
-                    const PlanExecution &want,
-                    const std::string &what)
-{
-    EXPECT_EQ(got.rowsVisible, want.rowsVisible) << what;
-    ASSERT_EQ(got.result.rows.size(), want.result.rows.size())
-        << what;
-    for (std::size_t i = 0; i < want.result.rows.size(); ++i) {
-        EXPECT_EQ(got.result.rows[i].keys, want.result.rows[i].keys)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].aggs, want.result.rows[i].aggs)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].count,
-                  want.result.rows[i].count)
-            << what << " row " << i;
-    }
-}
-
 /**
  * The workers x shards sweep of the acceptance criteria: every
  * executable catalog plan, every InstanceFormat, workers {1, 2, 4,
- * hardware} x shards {1, 2, 4} — all byte-identical to the scalar
- * reference pipeline.
+ * hardware} x shards {1, 2, 4} — all byte-identical to the
+ * reference executor, whose answers the fixture computes once per
+ * plan.
  */
 class ParallelExecTest
     : public ::testing::TestWithParam<InstanceFormat>
@@ -77,6 +63,9 @@ class ParallelExecTest
         for (int i = 0; i < 40; ++i)
             oltp.executeMixed();
         engine.prepareSnapshot(db.now());
+        testsupport::RefTables tables(db);
+        for (const auto &q : workload::chExecutablePlans())
+            want.push_back(referenceAnswer(tables, q.plan));
     }
 
     Database db;
@@ -84,9 +73,11 @@ class ParallelExecTest
     dram::BatchTimingModel timing;
     TpccEngine oltp;
     OlapEngine engine;
+    /** Reference answer per chExecutablePlans() entry. */
+    std::vector<RefAnswer> want;
 };
 
-TEST_P(ParallelExecTest, AllPlansMatchScalarAcrossWorkersAndShards)
+TEST_P(ParallelExecTest, AllPlansMatchReferenceAcrossWorkersAndShards)
 {
     const std::uint32_t hw = WorkerPool::hardwareWorkers();
     for (const std::uint32_t workers : {1u, 2u, 4u, hw}) {
@@ -96,13 +87,13 @@ TEST_P(ParallelExecTest, AllPlansMatchScalarAcrossWorkersAndShards)
             opts.shards = shards;
             opts.workers = workers;
             opts.pool = workers > 1 ? &pool : nullptr;
-            for (const auto &q : workload::chExecutablePlans()) {
-                const auto what =
-                    q.plan.name + " w" + std::to_string(workers) +
-                    " s" + std::to_string(shards);
-                expectSameExecution(
-                    executePlan(db, q.plan, opts),
-                    executePlanScalar(db, q.plan), what);
+            const auto &plans = workload::chExecutablePlans();
+            for (std::size_t p = 0; p < plans.size(); ++p) {
+                const auto what = plans[p].plan.name + " w" +
+                                  std::to_string(workers) + " s" +
+                                  std::to_string(shards);
+                expectExecution(executePlan(db, plans[p].plan, opts),
+                                want[p], what);
             }
         }
     }
@@ -117,11 +108,12 @@ TEST_P(ParallelExecTest, MorselRowsSweepIsResultInvariant)
         opts.workers = 2;
         opts.morselRows = morsel;
         opts.pool = &pool;
-        for (const auto &q : workload::chExecutablePlans())
-            expectSameExecution(
-                executePlan(db, q.plan, opts),
-                executePlanScalar(db, q.plan),
-                q.plan.name + " morsel " + std::to_string(morsel));
+        const auto &plans = workload::chExecutablePlans();
+        for (std::size_t p = 0; p < plans.size(); ++p)
+            expectExecution(executePlan(db, plans[p].plan, opts),
+                            want[p],
+                            plans[p].plan.name + " morsel " +
+                                std::to_string(morsel));
     }
 }
 
@@ -299,9 +291,10 @@ TEST(FlatTableExec, PlansMatchReferenceAcrossWorkersAndShards)
     // Past the dense aggregator's 4096-key domain.
     ASSERT_GT(db.table(ChTable::Stock).populatedRows(), 4096u);
 
+    testsupport::RefTables tables(db);
     for (const auto &plan : flatTablePlans()) {
-        const auto want = testsupport::referenceExecute(db, plan);
-        ASSERT_FALSE(want.empty()) << plan.name;
+        const auto want = referenceAnswer(tables, plan);
+        ASSERT_FALSE(want.rows.empty()) << plan.name;
         for (const std::uint32_t workers : {1u, 2u, 4u}) {
             WorkerPool pool(workers);
             for (const std::uint32_t shards : {1u, 3u, 8u}) {
@@ -309,19 +302,10 @@ TEST(FlatTableExec, PlansMatchReferenceAcrossWorkersAndShards)
                 opts.shards = shards;
                 opts.workers = workers;
                 opts.pool = workers > 1 ? &pool : nullptr;
-                const auto got = executePlan(db, plan, opts);
-                const auto what = plan.name + " w" +
-                                  std::to_string(workers) + " s" +
-                                  std::to_string(shards);
-                ASSERT_EQ(got.result.rows.size(), want.size()) << what;
-                for (std::size_t i = 0; i < want.size(); ++i) {
-                    EXPECT_EQ(got.result.rows[i].keys, want[i].keys)
-                        << what << " row " << i;
-                    EXPECT_EQ(got.result.rows[i].aggs, want[i].aggs)
-                        << what << " row " << i;
-                    EXPECT_EQ(got.result.rows[i].count, want[i].count)
-                        << what << " row " << i;
-                }
+                expectExecution(executePlan(db, plan, opts), want,
+                                plan.name + " w" +
+                                    std::to_string(workers) + " s" +
+                                    std::to_string(shards));
             }
         }
     }
@@ -460,20 +444,15 @@ TEST_F(ShardPricingTest, ShardBytesComposeAdditively)
 TEST_F(ShardPricingTest, EngineShardingKeepsReferenceAnswers)
 {
     // End-to-end through the engine at an aggressive configuration:
-    // answers equal the scalar reference pipeline exactly.
+    // answers equal the reference executor exactly.
     OlapEngine engine(db, config(4, 4));
     engine.prepareSnapshot(db.now());
+    testsupport::RefTables tables(db);
     for (const auto &q : workload::chExecutablePlans()) {
         QueryResult res;
         engine.runQuery(q.plan, &res);
-        const auto want = executePlanScalar(db, q.plan);
-        ASSERT_EQ(res.rows.size(), want.result.rows.size())
-            << q.plan.name;
-        for (std::size_t i = 0; i < res.rows.size(); ++i) {
-            EXPECT_EQ(res.rows[i].keys, want.result.rows[i].keys);
-            EXPECT_EQ(res.rows[i].aggs, want.result.rows[i].aggs);
-            EXPECT_EQ(res.rows[i].count, want.result.rows[i].count);
-        }
+        expectRows(res, testsupport::referenceExecute(tables, q.plan),
+                   q.plan.name);
     }
 }
 

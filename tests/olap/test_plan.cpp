@@ -3,7 +3,10 @@
 #include "common/log.hpp"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "htap/pushtap_db.hpp"
 #include "olap/plan.hpp"
 #include "workload/query_catalog.hpp"
 
@@ -124,6 +127,80 @@ TEST(Plan, ValidateRejectsJoinWithoutKeys)
     auto p = plans::q9();
     p.joins[0].keys.clear();
     EXPECT_THROW(validatePlan(p), pushtap::FatalError);
+}
+
+/** ORDERLINE's Int columns: one more than kMaxKeyColumns. */
+const std::vector<std::string> &
+orderLineInts()
+{
+    static const std::vector<std::string> cols = {
+        "ol_o_id",        "ol_d_id",       "ol_w_id",
+        "ol_number",      "ol_i_id",       "ol_supply_w_id",
+        "ol_delivery_d",  "ol_quantity",   "ol_amount"};
+    return cols;
+}
+
+/** ORDERLINE grouped by its first @p n Int columns. */
+QueryPlan
+wideGroupPlan(std::size_t n)
+{
+    QueryPlan p;
+    p.name = "group" + std::to_string(n);
+    p.probe.table = ChTable::OrderLine;
+    for (std::size_t c = 0; c < n; ++c)
+        p.groupBy.push_back({ColRef::kProbe, orderLineInts()[c]});
+    p.aggregates = {{AggKind::Sum, {ColRef::kProbe, "ol_amount"}}};
+    return p;
+}
+
+/** ORDERLINE semi-joined to itself on its first @p n Int columns. */
+QueryPlan
+wideJoinPlan(std::size_t n)
+{
+    QueryPlan p;
+    p.name = "join" + std::to_string(n);
+    p.probe.table = ChTable::OrderLine;
+    JoinSpec j;
+    j.build.table = ChTable::OrderLine;
+    j.kind = JoinKind::Semi;
+    for (std::size_t c = 0; c < n; ++c)
+        j.keys.push_back(
+            {orderLineInts()[c], {ColRef::kProbe, orderLineInts()[c]}});
+    p.joins = {std::move(j)};
+    p.aggregates = {{AggKind::Sum, {ColRef::kProbe, "ol_amount"}}};
+    return p;
+}
+
+TEST(Plan, ValidateCapsKeyColumns)
+{
+    ASSERT_EQ(orderLineInts().size(), kMaxKeyColumns + 1);
+    EXPECT_NO_THROW(validatePlan(wideGroupPlan(kMaxKeyColumns)));
+    EXPECT_NO_THROW(validatePlan(wideJoinPlan(kMaxKeyColumns)));
+    EXPECT_THROW(validatePlan(wideGroupPlan(kMaxKeyColumns + 1)),
+                 pushtap::FatalError);
+    EXPECT_THROW(validatePlan(wideJoinPlan(kMaxKeyColumns + 1)),
+                 pushtap::FatalError);
+}
+
+TEST(Plan, FacadeRejectsTooManyKeyColumns)
+{
+    htap::PushtapOptions opts;
+    opts.database.scale = 0.0002;
+    htap::PushtapDB db(opts);
+    EXPECT_THROW(db.runQuery(wideGroupPlan(kMaxKeyColumns + 1)),
+                 pushtap::FatalError);
+    EXPECT_THROW(db.runQuery(wideJoinPlan(kMaxKeyColumns + 1)),
+                 pushtap::FatalError);
+
+    // At the cap the plans execute: every ORDERLINE row is its own
+    // semi-join match, so the join keeps the whole table.
+    QueryResult grouped, joined;
+    db.runQuery(wideGroupPlan(kMaxKeyColumns), &grouped);
+    db.runQuery(wideJoinPlan(kMaxKeyColumns), &joined);
+    EXPECT_FALSE(grouped.rows.empty());
+    ASSERT_EQ(joined.rows.size(), 1u);
+    EXPECT_EQ(joined.rows[0].count,
+              db.database().table(ChTable::OrderLine).populatedRows());
 }
 
 } // namespace

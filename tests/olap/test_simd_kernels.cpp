@@ -16,6 +16,7 @@
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
 #include "olap/simd_kernels.hpp"
+#include "support/reference_check.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 
@@ -23,6 +24,8 @@ namespace pushtap::olap {
 namespace {
 
 using storage::Region;
+using testsupport::expectExecution;
+using testsupport::referenceAnswer;
 using txn::Database;
 using txn::DatabaseConfig;
 using txn::InstanceFormat;
@@ -591,25 +594,6 @@ smallConfig()
     return cfg;
 }
 
-void
-expectSameExecution(const PlanExecution &got,
-                    const PlanExecution &want,
-                    const std::string &what)
-{
-    EXPECT_EQ(got.rowsVisible, want.rowsVisible) << what;
-    ASSERT_EQ(got.result.rows.size(), want.result.rows.size())
-        << what;
-    for (std::size_t i = 0; i < want.result.rows.size(); ++i) {
-        EXPECT_EQ(got.result.rows[i].keys, want.result.rows[i].keys)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].aggs, want.result.rows[i].aggs)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].count,
-                  want.result.rows[i].count)
-            << what << " row " << i;
-    }
-}
-
 /**
  * OLTP-churned database (in-flight deltas, fragmented rows,
  * post-freeze dictionary writes) per instance format: the
@@ -641,17 +625,18 @@ class SimdExecTest : public ::testing::TestWithParam<InstanceFormat>
 
 TEST_P(SimdExecTest, AllPlansByteIdenticalUnderForcedScalar)
 {
+    testsupport::RefTables tables(db);
     for (const auto &q : workload::chExecutablePlans()) {
-        const auto ref = executePlanScalar(db, q.plan);
-        expectSameExecution(executePlan(db, q.plan), ref,
-                            q.plan.name + " simd");
+        const auto ref = referenceAnswer(tables, q.plan);
+        expectExecution(executePlan(db, q.plan), ref,
+                        q.plan.name + " simd");
         ScalarGuard g(true);
-        expectSameExecution(executePlan(db, q.plan), ref,
-                            q.plan.name + " forced-scalar");
+        expectExecution(executePlan(db, q.plan), ref,
+                        q.plan.name + " forced-scalar");
     }
 }
 
-TEST_P(SimdExecTest, DictLikeAggregateMatchesScalar)
+TEST_P(SimdExecTest, DictLikeAggregateMatchesReference)
 {
     using namespace ex;
     // CASE WHEN ol_dist_info LIKE ... over the probe: the aggregate
@@ -662,20 +647,20 @@ TEST_P(SimdExecTest, DictLikeAggregateMatchesScalar)
     caseLike.expr = caseWhen(like("ol_dist_info", "%a%"),
                              col("ol_amount"), lit(0));
     p.aggregates = {caseLike};
-    const auto ref = executePlanScalar(db, p);
-    expectSameExecution(executePlan(db, p), ref, "q6-like simd");
+    const auto ref = referenceAnswer(db, p);
+    expectExecution(executePlan(db, p), ref, "q6-like simd");
     {
         ScalarGuard g(true);
-        expectSameExecution(executePlan(db, p), ref,
-                            "q6-like forced-scalar");
+        expectExecution(executePlan(db, p), ref,
+                        "q6-like forced-scalar");
     }
 
     // Negated LIKE through NOT, summed standalone.
     AggSpec notLikeSum;
     notLikeSum.expr = not_(like("ol_dist_info", "%a%"));
     p.aggregates = {notLikeSum};
-    expectSameExecution(executePlan(db, p), executePlanScalar(db, p),
-                        "q6-notlike");
+    expectExecution(executePlan(db, p), referenceAnswer(db, p),
+                    "q6-notlike");
 }
 
 TEST_P(SimdExecTest, DictLikeAggregateSurvivesJoinExpansion)
@@ -690,11 +675,10 @@ TEST_P(SimdExecTest, DictLikeAggregateSurvivesJoinExpansion)
     p.aggregates[0].expr =
         mul(caseWhen(like("ol_dist_info", "%1%"), lit(1), lit(2)),
             p.aggregates[0].expr);
-    const auto ref = executePlanScalar(db, p);
-    expectSameExecution(executePlan(db, p), ref, "q21-like simd");
+    const auto ref = referenceAnswer(db, p);
+    expectExecution(executePlan(db, p), ref, "q21-like simd");
     ScalarGuard g(true);
-    expectSameExecution(executePlan(db, p), ref,
-                        "q21-like forced-scalar");
+    expectExecution(executePlan(db, p), ref, "q21-like forced-scalar");
 }
 
 TEST_P(SimdExecTest, CharPredicatesMatchAcrossDispatches)
@@ -703,11 +687,10 @@ TEST_P(SimdExecTest, CharPredicatesMatchAcrossDispatches)
     auto p = plans::q6();
     p.probe.charPredicates = {{"ol_dist_info", "a", false}};
     p.probe.exprPredicates = {notLike("ol_dist_info", "%b%")};
-    const auto ref = executePlanScalar(db, p);
-    expectSameExecution(executePlan(db, p), ref, "charpred simd");
+    const auto ref = referenceAnswer(db, p);
+    expectExecution(executePlan(db, p), ref, "charpred simd");
     ScalarGuard g(true);
-    expectSameExecution(executePlan(db, p), ref,
-                        "charpred forced-scalar");
+    expectExecution(executePlan(db, p), ref, "charpred forced-scalar");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -729,7 +712,7 @@ INSTANTIATE_TEST_SUITE_P(
  * Freshly populated database (no OLTP churn): ORDERLINE's
  * ol_dist_info dictionary is fully coded, so the batch executor's
  * pure code-filter fast path is actually taken — and must still be
- * byte-identical to the scalar reference.
+ * byte-identical to the reference executor.
  */
 TEST(SimdExecFresh, DictFastPathActiveAndByteIdentical)
 {
@@ -756,12 +739,11 @@ TEST(SimdExecFresh, DictFastPathActiveAndByteIdentical)
     caseLike.expr = caseWhen(like("ol_dist_info", "%b%"),
                              col("ol_amount"), lit(0));
     p.aggregates.push_back(caseLike);
-    const auto ref = executePlanScalar(db, p);
+    const auto ref = referenceAnswer(db, p);
     EXPECT_GT(ref.rowsVisible, 0u);
-    expectSameExecution(executePlan(db, p), ref, "fresh simd");
+    expectExecution(executePlan(db, p), ref, "fresh simd");
     ScalarGuard g(true);
-    expectSameExecution(executePlan(db, p), ref,
-                        "fresh forced-scalar");
+    expectExecution(executePlan(db, p), ref, "fresh forced-scalar");
 }
 
 } // namespace

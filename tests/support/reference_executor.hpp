@@ -9,8 +9,8 @@
  *
  *  - row visibility: version chains (Database::readNewest) instead
  *    of snapshot bitmaps,
- *  - column access: canonical row views instead of typed per-column
- *    scanners over the unified layout,
+ *  - column access: canonical row views instead of per-morsel
+ *    column decodes over the unified layout,
  *  - join keys: int tuples in ordered maps instead of packed byte
  *    strings in hash maps,
  *  - match expansion: breadth-first context lists instead of
@@ -18,8 +18,8 @@
  *  - expressions: direct recursion over ConstRowView values with an
  *    independently-written arithmetic switch and a recursive
  *    backtracking LIKE matcher (the engine compiles trees against
- *    typed scanners / vectorized kernels and matches LIKE by
- *    anchored piece scanning),
+ *    vectorized kernels and matches LIKE by anchored piece scanning
+ *    or dictionary lookup tables),
  *  - scalar subqueries: ordered maps keyed by int-tuple vectors
  *    instead of the engine's inline-key hash lookups.
  *
@@ -162,10 +162,12 @@ refEvalLocal(const olap::Expr &e, const workload::ConstRowView &v,
 }
 
 /** Full-plan expression evaluation (aggregate expressions): columns
- *  resolve through @p resolve; LIKE/subqueries cannot appear. */
+ *  resolve through @p resolve, LIKE leaves read the probe row
+ *  @p probe; subqueries cannot appear. */
 template <typename Resolve>
 std::int64_t
-refEvalFull(const olap::Expr &e, Resolve &&resolve)
+refEvalFull(const olap::Expr &e, Resolve &&resolve,
+            const workload::ConstRowView &probe)
 {
     using olap::ExprOp;
     switch (e.op) {
@@ -173,15 +175,18 @@ refEvalFull(const olap::Expr &e, Resolve &&resolve)
         return e.lit;
       case ExprOp::Column:
         return resolve(e.col);
+      case ExprOp::Like:
+        return refLike(trimNul(probe.getChars(e.col.column)),
+                       e.pattern);
       case ExprOp::Not:
-        return refEvalFull(*e.kids[0], resolve) == 0;
+        return refEvalFull(*e.kids[0], resolve, probe) == 0;
       case ExprOp::CaseWhen:
-        return refEvalFull(*e.kids[0], resolve) != 0
-                   ? refEvalFull(*e.kids[1], resolve)
-                   : refEvalFull(*e.kids[2], resolve);
+        return refEvalFull(*e.kids[0], resolve, probe) != 0
+                   ? refEvalFull(*e.kids[1], resolve, probe)
+                   : refEvalFull(*e.kids[2], resolve, probe);
       default:
-        return refArith(e.op, refEvalFull(*e.kids[0], resolve),
-                        refEvalFull(*e.kids[1], resolve));
+        return refArith(e.op, refEvalFull(*e.kids[0], resolve, probe),
+                        refEvalFull(*e.kids[1], resolve, probe));
     }
 }
 
@@ -207,20 +212,46 @@ passes(const workload::ConstRowView &v, const olap::TableInput &in,
     return true;
 }
 
-/** All newest-version canonical rows of a table, chain-resolved. */
-inline std::vector<std::vector<std::uint8_t>>
-materialize(txn::Database &db, workload::ChTable t)
-{
-    const auto &tbl = db.table(t);
-    std::vector<std::vector<std::uint8_t>> rows(
-        tbl.usedDataRows(),
-        std::vector<std::uint8_t>(tbl.schema().rowBytes()));
-    for (RowId r = 0; r < rows.size(); ++r)
-        db.readNewest(t, r, rows[r]);
-    return rows;
-}
-
 } // namespace detail
+
+/**
+ * The newest committed canonical rows of a database's tables, each
+ * resolved through the version chains on first use and kept for
+ * later plans. Valid until the next commit.
+ */
+class RefTables
+{
+  public:
+    explicit RefTables(txn::Database &db) : db_(&db) {}
+
+    txn::Database &database() const { return *db_; }
+
+    const format::TableSchema &
+    schema(workload::ChTable t) const
+    {
+        return db_->table(t).schema();
+    }
+
+    const std::vector<std::vector<std::uint8_t>> &
+    rows(workload::ChTable t)
+    {
+        auto it = rows_.find(t);
+        if (it != rows_.end())
+            return it->second;
+        const auto &tbl = db_->table(t);
+        std::vector<std::vector<std::uint8_t>> rows(
+            tbl.usedDataRows(),
+            std::vector<std::uint8_t>(tbl.schema().rowBytes()));
+        for (RowId r = 0; r < rows.size(); ++r)
+            db_->readNewest(t, r, rows[r]);
+        return rows_.emplace(t, std::move(rows)).first->second;
+    }
+
+  private:
+    txn::Database *db_;
+    std::map<workload::ChTable, std::vector<std::vector<std::uint8_t>>>
+        rows_;
+};
 
 /**
  * Execute @p plan over the newest committed versions. Result rows
@@ -228,7 +259,7 @@ materialize(txn::Database &db, workload::ChTable t)
  * then plan.orderBy / plan.limit.
  */
 inline std::vector<RefRow>
-referenceExecute(txn::Database &db, const olap::QueryPlan &plan)
+referenceExecute(RefTables &tables, const olap::QueryPlan &plan)
 {
     using olap::ColRef;
     using olap::JoinKind;
@@ -237,13 +268,12 @@ referenceExecute(txn::Database &db, const olap::QueryPlan &plan)
     // source rows, keyed by int-tuple vectors in ordered maps.
     RefSubqueryTables subqueries;
     for (const auto &spec : plan.subqueries) {
-        const auto &schema = db.table(spec.source.table).schema();
+        const auto &schema = tables.schema(spec.source.table);
         std::map<std::vector<std::int64_t>,
                  std::pair<std::vector<std::int64_t>,
                            std::uint64_t>>
             groups;
-        for (const auto &bytes :
-             detail::materialize(db, spec.source.table)) {
+        for (const auto &bytes : tables.rows(spec.source.table)) {
             const workload::ConstRowView v(schema, bytes);
             if (!detail::passes(v, spec.source))
                 continue;
@@ -285,9 +315,8 @@ referenceExecute(txn::Database &db, const olap::QueryPlan &plan)
         builds(plan.joins.size());
     for (std::size_t k = 0; k < plan.joins.size(); ++k) {
         const auto &join = plan.joins[k];
-        const auto &schema = db.table(join.build.table).schema();
-        for (const auto &bytes :
-             detail::materialize(db, join.build.table)) {
+        const auto &schema = tables.schema(join.build.table);
+        for (const auto &bytes : tables.rows(join.build.table)) {
             const workload::ConstRowView v(schema, bytes);
             if (!detail::passes(v, join.build))
                 continue;
@@ -308,7 +337,7 @@ referenceExecute(txn::Database &db, const olap::QueryPlan &plan)
         }
     }
 
-    const auto &probe_schema = db.table(plan.probe.table).schema();
+    const auto &probe_schema = tables.schema(plan.probe.table);
     struct Acc
     {
         std::vector<std::int64_t> aggs;
@@ -319,8 +348,7 @@ referenceExecute(txn::Database &db, const olap::QueryPlan &plan)
     // One context = the chosen build match per inner join so far.
     using Ctx = std::vector<const std::vector<std::int64_t> *>;
 
-    for (const auto &bytes :
-         detail::materialize(db, plan.probe.table)) {
+    for (const auto &bytes : tables.rows(plan.probe.table)) {
         const workload::ConstRowView v(probe_schema, bytes);
         if (!detail::passes(v, plan.probe, &plan, &subqueries))
             continue;
@@ -392,7 +420,8 @@ referenceExecute(txn::Database &db, const olap::QueryPlan &plan)
                               *spec.expr,
                               [&](const ColRef &ref) {
                                   return resolve(ctx, ref);
-                              })
+                              },
+                              v)
                         : resolve(ctx, spec.value);
                 switch (plan.aggregates[i].kind) {
                   case olap::AggKind::Sum:
@@ -454,6 +483,14 @@ referenceExecute(txn::Database &db, const olap::QueryPlan &plan)
     if (plan.limit != 0 && rows.size() > plan.limit)
         rows.resize(plan.limit);
     return rows;
+}
+
+/** referenceExecute() over a one-off RefTables of @p db. */
+inline std::vector<RefRow>
+referenceExecute(txn::Database &db, const olap::QueryPlan &plan)
+{
+    RefTables tables(db);
+    return referenceExecute(tables, plan);
 }
 
 } // namespace pushtap::testsupport

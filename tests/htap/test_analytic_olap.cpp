@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstddef>
+#include <iterator>
+#include <utility>
+
 #include "common/log.hpp"
 
 #include "htap/analytic_olap.hpp"
@@ -119,6 +124,64 @@ TEST_F(AnalyticOlapTest, RunQueryPricesWiderChSuite)
                          model.rebuildTime(10'000, false))
             << q.plan.name;
         EXPECT_DOUBLE_EQ(mi.pimNs, ideal.pimNs) << q.plan.name;
+    }
+}
+
+TEST_F(AnalyticOlapTest, BaselinePricingPinnedAcrossChSuite)
+{
+    // Modelled Ideal / MI / MI(accel) charges of every catalog plan,
+    // recorded from the hand-written baseline walk that preceded the
+    // shared plan-pricing walk. Only the summation order may differ.
+    struct Pin
+    {
+        const char *name;
+        TimeNs pimNs, cpuNs;
+    };
+    const Pin pins[] = {
+        {"Q1", 15488, 241.93708477806305},
+        {"Q2", 30466, 645.16555940816806},
+        {"Q3", 96704, 4064.5430242714592},
+        {"Q4", 34457, 1064.5231730234773},
+        {"Q5", 50484, 3419.3774648632907},
+        {"Q6", 11654, 82.581191604245518},
+        {"Q7", 43087, 3419.3774648632907},
+        {"Q8", 47178, 3419.3774648632907},
+        {"Q9", 62567, 3645.1854106561495},
+        {"Q10", 49714, 2129.0463460469546},
+        {"Q11", 14944, 80.645694926021008},
+        {"Q12", 38161, 1064.5231730234773},
+        {"Q13", 26001, 193.54966782245043},
+        {"Q14", 19957, 1290.3311188163361},
+        {"Q15", 27473, 1290.3311188163361},
+        {"Q16", 19190, 645.16555940816806},
+        {"Q17", 31459, 1290.3311188163361},
+        {"Q18", 34694, 2129.0463460469546},
+        {"Q19", 27487, 1290.3311188163361},
+        {"Q20", 34531, 645.16555940816806},
+        {"Q21", 31484, 2354.8542918398134},
+        {"Q22", 22314, 193.54966782245043},
+    };
+    const TimeNs rebuild = 10692.112543341891;
+    const TimeNs rebuild_accel = 2138.4225086683782;
+    const std::pair<BaselineKind, TimeNs> systems[] = {
+        {BaselineKind::Ideal, 0.0},
+        {BaselineKind::MultiInstance, rebuild},
+        {BaselineKind::MultiInstanceAccel, rebuild_accel}};
+    auto near = [](TimeNs got, TimeNs want) {
+        return std::abs(got - want) <= 1e-12 * std::abs(want);
+    };
+    const auto &plans = workload::chExecutablePlans();
+    ASSERT_EQ(plans.size(), std::size(pins));
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+        ASSERT_EQ(plans[i].plan.name, pins[i].name);
+        for (const auto &[kind, consistency] : systems) {
+            const auto rep =
+                model.runQuery(kind, plans[i].plan, 10'000);
+            EXPECT_PRED2(near, rep.pimNs, pins[i].pimNs) << rep.name;
+            EXPECT_PRED2(near, rep.cpuNs, pins[i].cpuNs) << rep.name;
+            EXPECT_PRED2(near, rep.consistencyNs, consistency)
+                << rep.name;
+        }
     }
 }
 

@@ -13,13 +13,15 @@
  *    before a query can see fresh data.
  *
  * Both systems answer queries identically to the single-instance
- * engine by construction, so only times are modelled here: runQuery()
- * walks the same logical plans (olap/plan.hpp) the engine executes
- * and prices every operator on clean packed columns. Q1/Q6/Q9 remain
- * as plan wrappers.
+ * engine by construction, so only times are modelled here:
+ * runQuery() prices the plan through the engine's own plan-pricing
+ * walk (olap/plan_pricing.hpp), charging every read as one clean
+ * packed-column scan, so every system charges the same column scans
+ * for the same plan.
  */
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -27,6 +29,7 @@
 #include "dram/timing_model.hpp"
 #include "mvcc/version_manager.hpp"
 #include "olap/plan.hpp"
+#include "olap/plan_pricing.hpp"
 #include "olap/query_report.hpp"
 #include "pim/two_phase.hpp"
 #include "txn/database.hpp"
@@ -50,7 +53,7 @@ enum class BaselineKind : std::uint8_t
  */
 using BaselineReport = olap::QueryReport;
 
-class AnalyticOlapModel
+class AnalyticOlapModel : private olap::ScanPricer
 {
   public:
     AnalyticOlapModel(const txn::Database &db,
@@ -69,9 +72,9 @@ class AnalyticOlapModel
 
     /**
      * Price @p plan on clean packed columns over current table
-     * sizes: one ideal scan per predicate / group / aggregate
-     * column, hash + partition + probe work per join, plus the
-     * consistency charge of @p kind.
+     * sizes: the shared plan walk's reads (one ideal scan each) and
+     * join legs, the CPU merge, plus the consistency charge of
+     * @p kind.
      */
     BaselineReport runQuery(BaselineKind kind,
                             const olap::QueryPlan &plan,
@@ -86,6 +89,23 @@ class AnalyticOlapModel
     TimeNs rebuildTime(std::uint64_t versions, bool accel) const;
 
   private:
+    // ScanPricer over the clean column-store instance: every read —
+    // Char predicates included, which this instance scans in PIM
+    // unlike the single-instance engine's CPU gather — is one
+    // idealColumnScan at the column width over the used data rows.
+    void read(const txn::TableRuntime &tbl, const std::string &column,
+              pim::OpType op, olap::QueryReport &rep) const override;
+    void gather(const txn::TableRuntime &tbl, const std::string &column,
+                olap::QueryReport &rep) const override;
+    /** Never reached: runQuery prices without fusion. */
+    void fusedScan(const txn::TableRuntime &tbl,
+                   const std::set<std::string> &columns,
+                   olap::QueryReport &rep) const override;
+    std::uint64_t
+    joinRows(const txn::TableRuntime &probe) const override;
+    void joinCompute(std::uint64_t rows,
+                     olap::QueryReport &rep) const override;
+
     TimeNs consistency(BaselineKind kind,
                        std::uint64_t pending_versions) const;
 

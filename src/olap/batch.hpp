@@ -16,7 +16,7 @@
  * intervenes) the aggregate update too, fuses into a single pass
  * over each morsel.
  *
- * This layer is purely functional: the pricing walks still charge
+ * This layer is purely functional: the pricing walk still charges
  * one serial scan per operator input (section 6.2) unless the
  * modelled fused-scan option is enabled (OlapConfig::fuseScans).
  */

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -23,20 +24,8 @@ namespace pushtap::olap {
 using workload::ChTable;
 
 std::uint32_t
-OlapConfig::defaultMorselRows(txn::InstanceFormat f)
+OlapConfig::defaultMorselRows(txn::InstanceFormat)
 {
-    // Baked from the BENCH_fig9b.json per-format sweep: every
-    // instance format's host-wall-clock argmin is the 2048 default
-    // on the bench hardware (single-thread container; re-sweep on
-    // wider hardware before diverging these).
-    switch (f) {
-      case txn::InstanceFormat::Unified:
-        return kMorselRows;
-      case txn::InstanceFormat::RowStore:
-        return kMorselRows;
-      case txn::InstanceFormat::ColumnStore:
-        return kMorselRows;
-    }
     return kMorselRows;
 }
 
@@ -97,20 +86,12 @@ OlapEngine::OlapEngine(txn::Database &db, const OlapConfig &cfg)
           timing_.pimAggregateBandwidth(cfg.pimConfig.streamBandwidth),
           db.config().devices)
 {
-    // kMorselRowsAuto resolves to the baked default of the
-    // configured instance format (the facade sets `instanceFormat`
-    // to its own; a bare engine keeps the Unified hint). The
-    // optimizer may only retune a defaulted morsel size — explicit
-    // settings stay authoritative.
-    morselAuto_ = cfg_.morselRows == OlapConfig::kMorselRowsAuto;
-    if (cfg_.morselRows == OlapConfig::kMorselRowsAuto)
-        cfg_.morselRows =
-            OlapConfig::defaultMorselRows(cfg_.instanceFormat);
     if (OlapConfig::optimizeForcedByEnv())
         cfg_.optimize = true;
     if (OlapConfig::resultCacheForcedByEnv())
         cfg_.resultCache = true;
-    if ((cfg_.morselRows & (cfg_.morselRows - 1)) != 0)
+    if (cfg_.morselRows == 0 ||
+        (cfg_.morselRows & (cfg_.morselRows - 1)) != 0)
         fatal("OlapConfig: morselRows must be a power of two "
               "(got {})",
               cfg_.morselRows);
@@ -148,17 +129,20 @@ OlapEngine::loadStatsFile()
     std::string line;
     if (!std::getline(in, line) || line != "pushtap-olap-stats v1")
         return; // Unknown format: ignore; the next save rewrites it.
+    // Each block is staged and installed only when its `end` line
+    // arrives, so a file cut mid-block never half-loads a plan.
+    std::string name;
+    PlanStats staged;
     PlanStats *ps = nullptr;
     while (std::getline(in, line)) {
         std::istringstream is(line);
         std::string tag;
         is >> tag;
         if (tag == "plan") {
-            std::string name;
+            name.clear();
             is >> name;
-            ps = name.empty() ? nullptr : &statsCache_[name];
-            if (ps != nullptr)
-                *ps = PlanStats{};
+            staged = PlanStats{};
+            ps = name.empty() ? nullptr : &staged;
         } else if (ps == nullptr) {
             continue;
         } else if (tag == "runs") {
@@ -182,6 +166,7 @@ OlapEngine::loadStatsFile()
             if (!is.fail() && !sig.empty())
                 ps->joins[sig] = jo;
         } else if (tag == "end") {
+            statsCache_[name] = std::move(staged);
             ps = nullptr;
         }
     }
@@ -192,7 +177,10 @@ OlapEngine::saveStatsFile() const
 {
     if (statsFile_.empty() || statsCache_.empty())
         return;
-    std::ofstream out(statsFile_, std::ios::trunc);
+    // Written beside the target and renamed over it, so a crash
+    // mid-write leaves the previous file whole.
+    const std::string tmp = statsFile_ + ".tmp";
+    std::ofstream out(tmp, std::ios::trunc);
     if (!out)
         return;
     out << "pushtap-olap-stats v1\n";
@@ -209,6 +197,11 @@ OlapEngine::saveStatsFile() const
                 << "\n";
         out << "end\n";
     }
+    out.close();
+    if (out)
+        std::rename(tmp.c_str(), statsFile_.c_str());
+    else
+        std::remove(tmp.c_str());
 }
 
 TimeNs
@@ -420,9 +413,8 @@ OlapEngine::takeConsistency()
 }
 
 void
-OlapEngine::priceCpuGather(const txn::TableRuntime &tbl,
-                           const std::string &column,
-                           QueryReport &rep) const
+OlapEngine::gather(const txn::TableRuntime &tbl,
+                   const std::string &column, QueryReport &rep) const
 {
     // Dictionary-encoded Char columns are filtered over their packed
     // integer codes: the predicate pre-evaluates once against the
@@ -460,9 +452,9 @@ OlapEngine::demotedToCpu(const txn::TableRuntime &tbl,
 }
 
 void
-OlapEngine::priceColumnRead(const txn::TableRuntime &tbl,
-                            const std::string &column, pim::OpType op,
-                            QueryReport &rep) const
+OlapEngine::read(const txn::TableRuntime &tbl,
+                 const std::string &column, pim::OpType op,
+                 QueryReport &rep) const
 {
     const ColumnId c = tbl.schema().columnId(column);
     const auto &col = tbl.schema().column(c);
@@ -474,199 +466,48 @@ OlapEngine::priceColumnRead(const txn::TableRuntime &tbl,
                          op, rep);
         return;
     }
-    priceCpuGather(tbl, column, rep);
+    gather(tbl, column, rep);
 }
 
 void
-OlapEngine::priceFusedScan(const txn::TableRuntime &tbl,
-                           const std::vector<ColumnId> &columns,
-                           QueryReport &rep) const
+OlapEngine::fusedScan(const txn::TableRuntime &tbl,
+                      const std::set<std::string> &columns,
+                      QueryReport &rep) const
 {
-    if (columns.empty())
-        return;
-    // The fused pass streams every column's slot bytes in one serial
-    // scan: the bytes are unchanged, but the per-scan offload fixed
-    // costs and phase serialization are paid once instead of once
-    // per operator input.
+    // Modelled fusion: every PIM-scannable column of the fused pass
+    // streams its slot bytes in one serial scan — the bytes are
+    // unchanged, but the per-scan offload fixed costs and phase
+    // serialization are paid once instead of once per operator
+    // input. Char and fragmented columns keep the CPU gather path.
     std::uint32_t width = 0;
-    for (const ColumnId c : columns) {
-        const auto &pl = tbl.layout().keyPlacement(c);
-        width += tbl.layout().parts()[pl.part].rowWidth;
-    }
-    priceShardedScan(tbl, width, pim::OpType::Aggregation, rep);
-}
-
-void
-OlapEngine::priceExprColumns(const txn::TableRuntime &tbl,
-                             const std::vector<ExprPtr> &exprs,
-                             pim::OpType op, QueryReport &rep) const
-{
-    // Expression columns charge through the same ScanCost footprints
-    // as the closed predicate forms: one serial scan per distinct
-    // Int column the expression set streams, the CPU gather path for
-    // every distinct Char (LIKE) column. std::set keeps the charge
-    // order deterministic.
-    std::set<std::string> int_cols, char_cols;
-    collectExprColumns(exprs, int_cols, char_cols);
-    for (const auto &name : char_cols)
-        priceCpuGather(tbl, name, rep);
-    for (const auto &name : int_cols)
-        priceColumnRead(tbl, name, op, rep);
-}
-
-void
-OlapEngine::priceSubqueries(const QueryPlan &plan,
-                            bool probe_keys_fused,
-                            QueryReport &rep) const
-{
-    const auto &probe_tbl = db_.table(plan.probe.table);
-    for (const auto &sub : plan.subqueries) {
-        const auto &tbl = db_.table(sub.source.table);
-        // The pre-pass filters the source exactly like any probe.
-        for (const auto &p : sub.source.charPredicates)
-            priceCpuGather(tbl, p.column, rep);
-        for (const auto &p : sub.source.intPredicates)
-            priceColumnRead(tbl, p.column, pim::OpType::Filter,
-                            rep);
-        priceExprColumns(tbl, sub.source.exprPredicates,
-                         pim::OpType::Filter, rep);
-        for (const auto &col : sub.groupBy)
-            priceColumnRead(tbl, col, pim::OpType::Group, rep);
-        std::vector<ExprPtr> inputs;
-        for (const auto &agg : sub.aggs)
-            inputs.push_back(agg.value);
-        priceExprColumns(tbl, inputs, pim::OpType::Aggregation,
-                         rep);
-        // The probe-side lookup streams each key column once —
-        // unless the fused probe pass already streams them.
-        if (!probe_keys_fused) {
-            std::set<std::string> key_cols;
-            for (const auto &key : sub.keys)
-                key_cols.insert(key.column);
-            for (const auto &name : key_cols)
-                priceColumnRead(probe_tbl, name,
-                                pim::OpType::Filter, rep);
-        }
-    }
-}
-
-void
-OlapEngine::priceQuery(const QueryPlan &plan, bool fuse_probe_scans,
-                       QueryReport &rep) const
-{
-    const auto &probe_tbl = db_.table(plan.probe.table);
-    const std::uint64_t probe_rows =
-        scannedDataRows(probe_tbl) +
-        probe_tbl.versions().deltaUsed();
-
-    // Predicate filters: one serial PIM scan per pushed-down Int
-    // predicate column, the CPU gather path for Char predicates and
-    // the expression predicates' column sets.
-    auto price_input = [&](const TableInput &in) {
-        const auto &tbl = db_.table(in.table);
-        for (const auto &p : in.charPredicates)
-            priceCpuGather(tbl, p.column, rep);
-        for (const auto &p : in.intPredicates)
-            priceColumnRead(tbl, p.column, pim::OpType::Filter, rep);
-        priceExprColumns(tbl, in.exprPredicates, pim::OpType::Filter,
-                         rep);
-    };
-
-    // One hash-join leg: PIM hashes both key columns, the CPU
-    // fetches the hashes, partitions buckets and pushes them back
-    // (4 B per value each way), then the PIM units probe within
-    // buckets. Fused plans skip the probe-side key Hash scans — the
-    // fused probe pass already streams those columns (they are part
-    // of fusedProbeColumns whenever the pass fuses).
-    auto price_join = [&](const JoinSpec &join,
-                          bool price_probe_keys) {
-        price_input(join.build);
-        const auto &build_tbl = db_.table(join.build.table);
-        for (const auto &[build_col, ref] : join.keys) {
-            priceColumnRead(build_tbl, build_col, pim::OpType::Hash,
-                            rep);
-            if (price_probe_keys)
-                priceColumnRead(db_.table(tableOf(plan, ref)),
-                                ref.column, pim::OpType::Hash, rep);
-        }
-        const std::uint64_t build_rows = build_tbl.usedDataRows();
-        rep.cpuNs += 2.0 * busTime((build_rows + probe_rows) * 4);
-        pim::CostModel cm(cfg_.pimConfig);
-        rep.pimNs += cm.computeTime(
-            pim::OpType::Join,
-            (build_rows + probe_rows) / cfg_.geom.totalPimUnits() +
-                1);
-    };
-
-    if (fuse_probe_scans && planFusesProbePass(plan)) {
-        // Modelled fusion: every PIM-scannable probe column of the
-        // fused pass in one serial scan; Char predicates (prefix and
-        // LIKE) and fragmented columns keep the CPU gather path. The
-        // subquery pre-pass stays its own scan set; its probe-side
-        // key columns ride the fused pass, as do the probe-side keys
-        // of the filter joins (semi/anti selection kernels) — the
-        // pass the batch executor actually runs.
-        priceSubqueries(plan, /*probe_keys_fused=*/true, rep);
-        for (const auto &p : plan.probe.charPredicates)
-            priceCpuGather(probe_tbl, p.column, rep);
-        // (The expressions' Int columns are already part of
-        // fusedProbeColumns and ride the fused scan below.)
-        std::set<std::string> expr_int_cols, like_cols;
-        collectExprColumns(plan.probe.exprPredicates, expr_int_cols,
-                           like_cols);
-        for (const auto &name : like_cols)
-            priceCpuGather(probe_tbl, name, rep);
-        std::vector<ColumnId> fusable;
-        for (const auto &name : fusedProbeColumns(plan)) {
-            const ColumnId c = probe_tbl.schema().columnId(name);
-            if (probe_tbl.schema().column(c).type ==
-                    format::ColType::Int &&
-                probe_tbl.layout().singlePlacement(c) != nullptr &&
-                !demotedToCpu(probe_tbl, name))
-                fusable.push_back(c);
-            else
-                priceCpuGather(probe_tbl, name, rep);
-        }
-        priceFusedScan(probe_tbl, fusable, rep);
-        // The join legs beyond the probe-side keys — build filters,
-        // build hash scans, partition shuffle, in-bucket probe — are
-        // not fusable and charge exactly as in the per-operator
-        // walk.
-        for (const auto &join : plan.joins)
-            price_join(join, /*price_probe_keys=*/false);
-        return;
-    }
-
-    priceSubqueries(plan, /*probe_keys_fused=*/false, rep);
-    price_input(plan.probe);
-
-    for (const auto &join : plan.joins)
-        price_join(join, /*price_probe_keys=*/true);
-
-    // Grouped aggregation: one Group scan per key, one Aggregation
-    // scan per aggregated column — every distinct column an
-    // aggregate expression streams charges its own scan.
-    for (const auto &key : plan.groupBy)
-        priceColumnRead(db_.table(tableOf(plan, key)), key.column,
-                        pim::OpType::Group, rep);
-    for (const auto &agg : plan.aggregates) {
-        if (agg.expr) {
-            std::set<std::pair<workload::ChTable, std::string>>
-                cols;
-            forEachColumnRef(
-                *agg.expr,
-                [&cols, &plan](const ColRef &ref, bool) {
-                    cols.emplace(tableOf(plan, ref), ref.column);
-                });
-            for (const auto &[table, name] : cols)
-                priceColumnRead(db_.table(table), name,
-                                pim::OpType::Aggregation, rep);
+    for (const auto &name : columns) {
+        const ColumnId c = tbl.schema().columnId(name);
+        if (tbl.schema().column(c).type == format::ColType::Int &&
+            tbl.layout().singlePlacement(c) != nullptr &&
+            !demotedToCpu(tbl, name)) {
+            const auto &pl = tbl.layout().keyPlacement(c);
+            width += tbl.layout().parts()[pl.part].rowWidth;
         } else {
-            priceColumnRead(db_.table(tableOf(plan, agg.value)),
-                            agg.value.column,
-                            pim::OpType::Aggregation, rep);
+            gather(tbl, name, rep);
         }
     }
+    if (width > 0)
+        priceShardedScan(tbl, width, pim::OpType::Aggregation, rep);
+}
+
+std::uint64_t
+OlapEngine::joinRows(const txn::TableRuntime &probe) const
+{
+    return scannedDataRows(probe) + probe.versions().deltaUsed();
+}
+
+void
+OlapEngine::joinCompute(std::uint64_t rows, QueryReport &rep) const
+{
+    rep.cpuNs += 2.0 * busTime(rows * 4);
+    pim::CostModel cm(cfg_.pimConfig);
+    rep.pimNs += cm.computeTime(pim::OpType::Join,
+                                rows / cfg_.geom.totalPimUnits() + 1);
 }
 
 void
@@ -758,7 +599,7 @@ OlapEngine::pricePlan(const QueryPlan &plan, bool fuse_probe_scans,
     rep.name = plan.name;
     rep.shardBytes.assign(cfg_.shards, 0);
     activePlacements_ = cpu_demotions;
-    priceQuery(plan, fuse_probe_scans, rep);
+    pricePlanScans(db_, plan, *this, fuse_probe_scans, rep);
     activePlacements_ = nullptr;
     priceMerge(plan, visible_rows, rep);
     priceShardMerge(plan, rep);
@@ -847,8 +688,8 @@ OlapEngine::runQueryUncached(const QueryPlan &plan,
     rep.rowsVisible = exec.rowsVisible;
     rep.fusedScanColumns = exec.fusedScanColumns;
 
-    priceQuery(plan,
-               cfg_.fuseScans && exec.fusedScanColumns > 0, rep);
+    pricePlanScans(db_, plan, *this,
+                   cfg_.fuseScans && exec.fusedScanColumns > 0, rep);
     priceMerge(plan, exec.rowsVisible, rep);
     priceShardMerge(plan, rep);
     priceBuildMerge(plan, rep);
@@ -1057,8 +898,8 @@ OlapEngine::runQueryIncremental(const QueryPlan &plan,
         store.dataVisible().count() - entry.probeData.count();
     scanOverrideDeltaRows_ =
         store.deltaVisible().count() - entry.probeDelta.count();
-    priceQuery(plan,
-               cfg_.fuseScans && exec.fusedScanColumns > 0, rep);
+    pricePlanScans(db_, plan, *this,
+                   cfg_.fuseScans && exec.fusedScanColumns > 0, rep);
     scanOverrideTbl_ = nullptr;
     priceMerge(plan, rep.rowsVisible, rep);
     priceShardMerge(plan, rep);

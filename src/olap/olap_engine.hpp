@@ -10,10 +10,10 @@
  * Queries are logical plans (olap/plan.hpp) executed by the physical
  * operator pipeline (olap/operators.hpp) over the snapshot bitmaps —
  * the returned aggregates are exact and verifiable against a
- * reference scan — while runQuery() prices each operator with the
- * two-phase schedule, the controller's offload overheads, and the
- * CPU-side transfer steps of the multi-column operators. Q1/Q6/Q9
- * remain as thin wrappers over their plan definitions.
+ * reference scan — while runQuery() prices each operator through the
+ * shared plan walk (olap/plan_pricing.hpp) with the two-phase
+ * schedule, the controller's offload overheads, and the CPU-side
+ * transfer steps of the multi-column operators.
  */
 
 #include <cstddef>
@@ -32,6 +32,7 @@
 #include "mvcc/snapshotter.hpp"
 #include "olap/operators.hpp"
 #include "olap/plan.hpp"
+#include "olap/plan_pricing.hpp"
 #include "olap/query_report.hpp"
 #include "olap/result_cache.hpp"
 #include "pim/two_phase.hpp"
@@ -78,25 +79,12 @@ struct OlapConfig
      * count.
      */
     std::uint32_t workers = 1;
-    /** morselRows sentinel: resolve a per-format default at engine
-     *  construction (see defaultMorselRows). */
-    static constexpr std::uint32_t kMorselRowsAuto = 0;
     /**
-     * Rows per morsel of the batch executor. Must be a power of two
-     * when set explicitly (validated at engine construction);
-     * kMorselRowsAuto (the default) resolves through
-     * defaultMorselRows() against `instanceFormat` at engine
-     * construction. Explicitly set values are always authoritative —
-     * the adaptive optimizer only retunes a defaulted morsel size.
+     * Rows per morsel of the batch executor; a power of two
+     * (validated at engine construction). The adaptive optimizer
+     * only retunes the default — any other value is authoritative.
      */
-    std::uint32_t morselRows = kMorselRowsAuto;
-    /**
-     * Instance-format hint resolving the per-format morsel default
-     * (PushtapDB sets its configured format; a bare engine keeps
-     * Unified). Purely a knob-resolution input — execution and
-     * pricing read the actual table layouts.
-     */
-    txn::InstanceFormat instanceFormat = txn::InstanceFormat::Unified;
+    std::uint32_t morselRows = kMorselRows;
     /**
      * Cost-based adaptive optimizer (olap/optimizer.hpp): every
      * runQuery() first prices candidate physical plans through the
@@ -131,13 +119,8 @@ struct OlapConfig
     bool resultCache = false;
     /** True when PUSHTAP_OLAP_RESULT_CACHE forces the cache on. */
     static bool resultCacheForcedByEnv();
-    /**
-     * Per-format default morsel size, baked from the
-     * BENCH_fig9b.json per-format sweep (the sweep's argmin). Every
-     * format currently agrees on 2048 on the bench hardware — the
-     * table exists so a future sweep on wider hardware can diverge
-     * them without touching call sites.
-     */
+    /** The default morsel size, kMorselRows for every instance
+     *  format. */
     static std::uint32_t defaultMorselRows(txn::InstanceFormat f);
     /** Fixed per-defragmentation overhead (threads + activation). */
     TimeNs defragFixedNs = 50'000.0;
@@ -205,7 +188,7 @@ struct ScanCost
     pim::TwoPhaseSchedule schedule; ///< Per-unit phase schedule.
 };
 
-class OlapEngine
+class OlapEngine : private ScanPricer
 {
   public:
     OlapEngine(txn::Database &db, const OlapConfig &cfg);
@@ -259,7 +242,7 @@ class OlapEngine
     OptimizedQuery optimizePlan(const QueryPlan &plan) const;
 
     /**
-     * Price @p plan through the full modelled walk (priceQuery +
+     * Price @p plan through the full modelled walk (pricePlanScans +
      * merge/shard/build consolidation) without executing anything:
      * the optimizer's cost function. @p cpu_demotions (may be null)
      * prices those scan sites on the CPU gather path;
@@ -330,46 +313,38 @@ class OlapEngine
     }
 
   private:
+    // ScanPricer: the sharded, layout-, dictionary- and
+    // placement-aware charges the plan walk (olap/plan_pricing.hpp)
+    // prices this engine's queries with.
+
+    /** PIM scan when an unfragmented Int column (and not demoted by
+     *  the active placement set), CPU gather otherwise. */
+    void read(const txn::TableRuntime &tbl, const std::string &column,
+              pim::OpType op, QueryReport &rep) const override;
+
+    /** Dictionary code scan, or the CPU fragment gather of a normal
+     *  column. */
+    void gather(const txn::TableRuntime &tbl, const std::string &column,
+                QueryReport &rep) const override;
+
+    /** One serial scan streaming every PIM-scannable column's slot
+     *  bytes; the others keep the CPU gather path. */
+    void fusedScan(const txn::TableRuntime &tbl,
+                   const std::set<std::string> &columns,
+                   QueryReport &rep) const override;
+
+    /** Scanned data rows plus the used delta rows. */
+    std::uint64_t
+    joinRows(const txn::TableRuntime &probe) const override;
+
+    /** Partition shuffle (4 B per value each way) plus the in-bucket
+     *  PIM probe. */
+    void joinCompute(std::uint64_t rows,
+                     QueryReport &rep) const override;
+
     /** Rows the PIM units must stream in each region. */
     std::uint64_t scannedDataRows(const txn::TableRuntime &tbl) const;
     std::uint64_t scannedDeltaRows(const txn::TableRuntime &tbl) const;
-
-    /**
-     * Accumulate the plan's operator timing contributions into
-     * @p rep: PIM scan schedules for predicates / group keys /
-     * aggregates, hash + partition + probe work per join, and the
-     * CPU gather path for char-predicate (normal) columns. When
-     * @p fuse_probe_scans is set (executor fused the probe pass and
-     * cfg_.fuseScans opted in), the probe's PIM-scannable columns
-     * are priced as one fused serial scan instead.
-     */
-    void priceQuery(const QueryPlan &plan, bool fuse_probe_scans,
-                    QueryReport &rep) const;
-
-    /** One serial scan streaming all @p columns' slot bytes. */
-    void priceFusedScan(const txn::TableRuntime &tbl,
-                        const std::vector<ColumnId> &columns,
-                        QueryReport &rep) const;
-
-    /**
-     * Charge the distinct columns an expression set streams over
-     * @p tbl: one serial scan (as @p op) per Int column, the CPU
-     * gather path per Char (LIKE) column — the same ScanCost
-     * footprints the closed predicate forms charge.
-     */
-    void priceExprColumns(const txn::TableRuntime &tbl,
-                          const std::vector<ExprPtr> &exprs,
-                          pim::OpType op, QueryReport &rep) const;
-
-    /**
-     * Charge each scalar-subquery pre-pass: source filters, group
-     * and aggregate-input scans, plus the probe-side key lookup
-     * columns (skipped when @p probe_keys_fused — the fused probe
-     * pass already streams them).
-     */
-    void priceSubqueries(const QueryPlan &plan,
-                         bool probe_keys_fused,
-                         QueryReport &rep) const;
 
     /**
      * Price one serial scan of @p width bytes per row as one
@@ -402,12 +377,6 @@ class OlapEngine
      * build is one serial scan there, exactly as priced before).
      */
     void priceBuildMerge(const QueryPlan &plan,
-                         QueryReport &rep) const;
-
-    /** PIM scan when unfragmented (and not demoted by the active
-     *  placement set), CPU gather otherwise. */
-    void priceColumnRead(const txn::TableRuntime &tbl,
-                         const std::string &column, pim::OpType op,
                          QueryReport &rep) const;
 
     /** True when the active placement set routes this scan site to
@@ -451,11 +420,6 @@ class OlapEngine
     void loadStatsFile();
     void saveStatsFile() const;
 
-    /** CPU fragment-gather of one column (normal-column path). */
-    void priceCpuGather(const txn::TableRuntime &tbl,
-                        const std::string &column,
-                        QueryReport &rep) const;
-
     TimeNs takeConsistency();
 
     /** CPU time to move @p bytes over the memory bus. */
@@ -476,11 +440,7 @@ class OlapEngine
     TimeNs pendingConsistency_ = 0.0;
     mvcc::DefragStats lastDefrag_;
     mvcc::SnapshotStats lastSnapshot_;
-    /** True when morselRows came from the per-format default (auto)
-     *  rather than an explicit user setting — the only case the
-     *  optimizer may tune it. */
-    bool morselAuto_ = false;
-    /** Placement set consulted by priceColumnRead during a
+    /** Placement set consulted by read() and fusedScan() during a
      *  pricePlan walk (null outside one); mutable because pricing
      *  is logically const. */
     mutable const PlacementSet *activePlacements_ = nullptr;

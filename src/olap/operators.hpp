@@ -34,8 +34,8 @@
  * The operators compute exact results over the MVCC snapshot — every
  * aggregate is verifiable against a reference scan through the
  * version chains — while the timing contribution of each operator is
- * accumulated separately by the pricing walks in olap_engine.cpp and
- * analytic_olap.cpp.
+ * accumulated separately by the plan-pricing walk
+ * (olap/plan_pricing.hpp).
  */
 
 #include <cstddef>

@@ -618,8 +618,7 @@ OlapEngine::optimizePlan(const QueryPlan &plan) const
         // four morsels of probe rows; largest power of two below
         // both (1 when the probe is too small to split).
         const std::uint64_t by_rows =
-            probe_rows /
-            (4ull * std::max<std::uint32_t>(1, cfg_.morselRows));
+            probe_rows / (4ull * cfg_.morselRows);
         const std::uint64_t target =
             std::min<std::uint64_t>(workers, by_rows);
         std::uint32_t s = 1;
@@ -629,8 +628,8 @@ OlapEngine::optimizePlan(const QueryPlan &plan) const
     }
     oq.shards = shards;
     std::uint32_t morsel = cfg_.morselRows;
-    if (morselAuto_) {
-        // Shrink a defaulted morsel (never an explicit one) while a
+    if (cfg_.morselRows == kMorselRows) {
+        // Shrink the default morsel (never another one) while a
         // shard cannot even fill two morsels — small tables then
         // still spread across the shard fan-out.
         while (morsel > 64 &&

@@ -3,7 +3,7 @@
 /**
  * @file
  * Cost-based adaptive query optimizer: the loop closing the pricing
- * model (olap_engine.cpp's ScanCost walk) back into plan choice and
+ * model (the engine's ScanCost walk) back into plan choice and
  * knob auto-tuning.
  *
  * OlapEngine::optimizePlan() takes a hand-built logical QueryPlan
@@ -31,8 +31,8 @@
  *     when the whole-plan priced cost strictly drops (the runtime
  *     counterpart of the paper's Eq. (3) crossover).
  *  4. Knob resolution — shards / workers / morselRows resolved from
- *     table cardinalities, hardware threads and the per-format
- *     defaults, in the order user-set > derived > default. Purely
+ *     table cardinalities, hardware threads and the defaults, in
+ *     the order user-set > derived > default. Purely
  *     host-side: the pricing decomposition stays at the configured
  *     shard count and results are knob-invariant by construction.
  *

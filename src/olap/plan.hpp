@@ -10,10 +10,10 @@
  * a pre-pass, a chain of hash joins against filtered build tables, a
  * grouped aggregation (plain columns or integer expressions) and an
  * optional sort/limit. The physical operators in olap/operators.hpp
- * execute a plan exactly over the MVCC snapshot bitmaps; the pricing
- * walks in olap/olap_engine.cpp (single-instance PIM engine) and
- * htap/analytic_olap.cpp (Ideal/MI baselines) derive each operator's
- * timing contribution from the same structure.
+ * execute a plan exactly over the MVCC snapshot bitmaps; the one
+ * plan-pricing walk (olap/plan_pricing.hpp) derives each operator's
+ * timing contribution from the same structure, for the
+ * single-instance PIM engine and the Ideal/MI baselines alike.
  *
  * The builders in plans:: define all 22 executable CH queries.
  * Q1/Q6/Q9 reproduce the engine's original bespoke code paths

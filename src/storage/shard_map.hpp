@@ -15,7 +15,7 @@
  * sees the same per-block stride segments as the unsharded walk.
  *
  * The same ShardMap drives both the functional executors (which rows
- * each worker scans) and the pricing walks (how many scanned rows
+ * each worker scans) and the pricing walk (how many scanned rows
  * each per-shard ScanCost schedule charges), via
  * txn::TableRuntime::shardMap — the two cannot drift.
  */

@@ -147,7 +147,7 @@ class TableRuntime
      * Partition the table's current data+delta row space into
      * @p shards contiguous ranges aligned to whole block-circulant
      * blocks (independent bank stripes). Both the parallel executors
-     * and the per-shard pricing walks read this one partitioning, so
+     * and the per-shard pricing walk read this one partitioning, so
      * the rows a shard scans and the rows its ScanCost charges can
      * never drift apart.
      */

@@ -137,6 +137,11 @@ TEST_F(PushtapDbTest, RunQueryAcceptsTheWholeCatalogRange)
     EXPECT_NO_THROW(db.runQuery(22, &res));
     EXPECT_THROW(db.runQuery(0), pushtap::FatalError);
     EXPECT_THROW(db.runQuery(23), pushtap::FatalError);
+
+    // A zero morsel size is a caller bug too, caught at construction.
+    auto opts = smallOptions();
+    opts.olap.morselRows = 0;
+    EXPECT_THROW(PushtapDB{opts}, pushtap::FatalError);
 }
 
 TEST_F(PushtapDbTest, RunQueryAcceptsAdHocPlans)

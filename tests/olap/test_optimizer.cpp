@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -220,6 +222,45 @@ TEST(OptimizerStatsPersistence, SurvivesEngineInstances)
         ASSERT_NE(st9, nullptr);
         EXPECT_FALSE(st9->joins.empty());
     }
+
+    ::unsetenv("PUSHTAP_OLAP_STATS_FILE");
+    std::remove(path.c_str());
+}
+
+TEST(OptimizerStatsPersistence, TruncatedFileDoesNotHalfLoad)
+{
+    // A stats file cut mid-block (a crash while writing) must not
+    // install the cut plan with zeroed counts; complete blocks before
+    // it still load, and the next save rewrites the file whole.
+    Database db(smallConfig());
+    const std::string path =
+        ::testing::TempDir() + "pushtap_stats_truncated.txt";
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << "pushtap-olap-stats v1\n"
+            << "plan Q6\nruns 3\nprobe 100 40\nconjunct 100 40\n"
+            << "end\n"
+            << "plan Q9\nruns 2\n";
+    }
+    ::setenv("PUSHTAP_OLAP_STATS_FILE", path.c_str(), 1);
+
+    {
+        OlapEngine eng(db, optimizedConfig());
+        const auto *q6 = eng.planStats("Q6");
+        ASSERT_NE(q6, nullptr);
+        EXPECT_EQ(q6->runs, 3u);
+        EXPECT_EQ(q6->probeVisible, 100u);
+        EXPECT_EQ(q6->probeFiltered, 40u);
+        EXPECT_EQ(q6->conjuncts.size(), 1u);
+        EXPECT_EQ(eng.planStats("Q9"), nullptr);
+    } // Destructor rewrites the file from the loaded cache.
+
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("plan Q6\n"), std::string::npos);
+    EXPECT_EQ(text.find("plan Q9"), std::string::npos);
+    EXPECT_FALSE(std::ifstream(path + ".tmp").good());
 
     ::unsetenv("PUSHTAP_OLAP_STATS_FILE");
     std::remove(path.c_str());

@@ -331,6 +331,8 @@ TEST(OlapConfigValidation, RejectsBadKnobs)
     auto cfg = OlapConfig::pushtapDimm();
     cfg.morselRows = 1000;
     EXPECT_THROW(OlapEngine(db, cfg), FatalError);
+    cfg.morselRows = 0;
+    EXPECT_THROW(OlapEngine(db, cfg), FatalError);
     cfg = OlapConfig::pushtapDimm();
     cfg.shards = 0;
     EXPECT_THROW(OlapEngine(db, cfg), FatalError);

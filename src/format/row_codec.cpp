@@ -74,28 +74,24 @@ gatherCharsStride(const Column &col, const std::uint8_t *base,
                     col.width);
 }
 
-void
-RowCodec::scatter(RowId r, std::span<const std::uint8_t> row,
-                  const Writer &write) const
+RowCodec::RowCodec(const TableLayout &layout,
+                   const BlockCirculant &circulant)
+    : layout_(&layout), circulant_(circulant)
 {
-    const auto &schema = layout_->schema();
-    if (row.size() < schema.rowBytes())
-        panic("scatter: row buffer {} < row bytes {}", row.size(),
-              schema.rowBytes());
-
-    const auto &parts = layout_->parts();
+    const auto &schema = layout.schema();
+    const auto &parts = layout.parts();
     for (std::uint32_t p = 0; p < parts.size(); ++p) {
         const Part &part = parts[p];
-        const std::uint64_t base =
-            static_cast<std::uint64_t>(r) * part.rowWidth;
+        if (part.slots.size() > circulant.devices())
+            panic("RowCodec: part {} has {} slots for {} devices", p,
+                  part.slots.size(), circulant.devices());
         for (std::uint32_t s = 0; s < part.slots.size(); ++s) {
-            const std::uint32_t dev = circulant_.deviceFor(s, r);
             std::uint32_t off = 0;
             for (const auto &f : part.slots[s].fragments) {
-                const std::uint32_t src =
-                    schema.canonicalOffset(f.column) + f.byteOffset;
-                write(p, dev, base + off,
-                      row.subspan(src, f.byteCount));
+                moves_.push_back(
+                    {p, s, part.rowWidth,
+                     schema.canonicalOffset(f.column) + f.byteOffset,
+                     off, f.byteCount});
                 off += f.byteCount;
             }
         }
@@ -103,41 +99,11 @@ RowCodec::scatter(RowId r, std::span<const std::uint8_t> row,
 }
 
 void
-RowCodec::gather(RowId r, const Reader &read,
-                 std::span<std::uint8_t> row) const
+RowCodec::checkRowBuffer(const char *op, std::size_t bytes) const
 {
-    const auto &schema = layout_->schema();
-    if (row.size() < schema.rowBytes())
-        panic("gather: row buffer {} < row bytes {}", row.size(),
-              schema.rowBytes());
-
-    const auto &parts = layout_->parts();
-    for (std::uint32_t p = 0; p < parts.size(); ++p) {
-        const Part &part = parts[p];
-        const std::uint64_t base =
-            static_cast<std::uint64_t>(r) * part.rowWidth;
-        for (std::uint32_t s = 0; s < part.slots.size(); ++s) {
-            const std::uint32_t dev = circulant_.deviceFor(s, r);
-            std::uint32_t off = 0;
-            for (const auto &f : part.slots[s].fragments) {
-                const std::uint32_t dst =
-                    schema.canonicalOffset(f.column) + f.byteOffset;
-                read(p, dev, base + off,
-                     row.subspan(dst, f.byteCount));
-                off += f.byteCount;
-            }
-        }
-    }
-}
-
-std::uint32_t
-RowCodec::fragmentsPerRow() const
-{
-    std::uint32_t n = 0;
-    for (const auto &part : layout_->parts())
-        for (const auto &slot : part.slots)
-            n += static_cast<std::uint32_t>(slot.fragments.size());
-    return n;
+    const auto need = layout_->schema().rowBytes();
+    if (bytes < need)
+        panic("{}: row buffer {} < row bytes {}", op, bytes, need);
 }
 
 } // namespace pushtap::format

@@ -60,6 +60,9 @@ class TableStore
         return circulant_;
     }
 
+    /** The row re-layout this store writes and reads rows through. */
+    const format::RowCodec &codec() const { return codec_; }
+
     std::uint64_t dataRows() const { return dataRows_; }
     std::uint64_t deltaRows() const { return deltaRows_; }
 

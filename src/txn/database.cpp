@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -112,51 +113,38 @@ Database::populate()
     std::vector<std::uint8_t> row;
     for (auto &tbl : tables_) {
         const auto &schema = tbl->schema();
+        // Primary-key index columns, packed as packKey(a, b, c);
+        // history/neworder/orderline have no PK index.
+        std::optional<ColumnId> a, b, c;
+        switch (tbl->id()) {
+          case ChTable::Warehouse: a = schema.columnId("w_id"); break;
+          case ChTable::District:
+            a = schema.columnId("d_w_id");
+            b = schema.columnId("d_id");
+            break;
+          case ChTable::Customer: c = schema.columnId("c_id"); break;
+          case ChTable::Item: c = schema.columnId("i_id"); break;
+          // STOCK and ITEM have equal row counts (section 7.1), so
+          // stock is keyed by item id alone.
+          case ChTable::Stock: c = schema.columnId("s_i_id"); break;
+          case ChTable::Orders: c = schema.columnId("o_id"); break;
+          default: break;
+        }
+        const bool indexed = a || b || c;
+
         row.assign(schema.rowBytes(), 0);
+        const workload::ConstRowView v(schema, row);
+        const auto field = [&v](const std::optional<ColumnId> &col) {
+            return col ? static_cast<std::uint64_t>(v.getInt(*col))
+                       : std::uint64_t{0};
+        };
         const std::uint64_t n = tbl->populatedRows();
         for (RowId r = 0; r < n; ++r) {
             gen_.fillRow(tbl->id(), schema, r, row);
             tbl->store().writeRow(storage::Region::Data, r, row);
-        }
-
-        // Primary-key index population.
-        workload::ConstRowView v(schema, row);
-        for (RowId r = 0; r < n; ++r) {
-            gen_.fillRow(tbl->id(), schema, r, row);
-            std::uint64_t key = 0;
-            switch (tbl->id()) {
-              case ChTable::Warehouse:
-                key = packKey(static_cast<std::uint64_t>(
-                    v.getInt("w_id")));
-                break;
-              case ChTable::District:
-                key = packKey(static_cast<std::uint64_t>(
-                                  v.getInt("d_w_id")),
-                              static_cast<std::uint64_t>(
-                                  v.getInt("d_id")));
-                break;
-              case ChTable::Customer:
-                key = packKey(0, 0, static_cast<std::uint64_t>(
-                                        v.getInt("c_id")));
-                break;
-              case ChTable::Item:
-                key = packKey(0, 0, static_cast<std::uint64_t>(
-                                        v.getInt("i_id")));
-                break;
-              case ChTable::Stock:
-                // STOCK and ITEM have equal row counts (section 7.1),
-                // so stock is keyed by item id alone.
-                key = packKey(0, 0, static_cast<std::uint64_t>(
-                                        v.getInt("s_i_id")));
-                break;
-              case ChTable::Orders:
-                key = packKey(0, 0, static_cast<std::uint64_t>(
-                                        v.getInt("o_id")));
-                break;
-              default:
-                continue; // history/neworder/orderline: no PK index
-            }
-            tbl->index().insert(key, r);
+            if (indexed)
+                tbl->index().insert(
+                    packKey(field(a), field(b), field(c)), r);
         }
     }
 }

@@ -12,57 +12,168 @@ namespace pushtap::txn {
 using workload::ChTable;
 using workload::RowView;
 
+TpccEngine::Columns::Columns(const Database &db)
+{
+    const auto id = [&db](ChTable t, const char *name) {
+        return db.table(t).schema().columnId(name);
+    };
+    w_ytd = id(ChTable::Warehouse, "w_ytd");
+    d_ytd = id(ChTable::District, "d_ytd");
+    d_next_o_id = id(ChTable::District, "d_next_o_id");
+    c_balance = id(ChTable::Customer, "c_balance");
+    c_ytd_payment = id(ChTable::Customer, "c_ytd_payment");
+    c_payment_cnt = id(ChTable::Customer, "c_payment_cnt");
+    i_price = id(ChTable::Item, "i_price");
+    s_quantity = id(ChTable::Stock, "s_quantity");
+    s_ytd = id(ChTable::Stock, "s_ytd");
+    s_order_cnt = id(ChTable::Stock, "s_order_cnt");
+    h_c_id = id(ChTable::History, "h_c_id");
+    h_c_w_id = id(ChTable::History, "h_c_w_id");
+    h_d_id = id(ChTable::History, "h_d_id");
+    h_w_id = id(ChTable::History, "h_w_id");
+    h_date = id(ChTable::History, "h_date");
+    h_amount = id(ChTable::History, "h_amount");
+    ol_o_id = id(ChTable::OrderLine, "ol_o_id");
+    ol_d_id = id(ChTable::OrderLine, "ol_d_id");
+    ol_w_id = id(ChTable::OrderLine, "ol_w_id");
+    ol_number = id(ChTable::OrderLine, "ol_number");
+    ol_i_id = id(ChTable::OrderLine, "ol_i_id");
+    ol_supply_w_id = id(ChTable::OrderLine, "ol_supply_w_id");
+    ol_delivery_d = id(ChTable::OrderLine, "ol_delivery_d");
+    ol_quantity = id(ChTable::OrderLine, "ol_quantity");
+    ol_amount = id(ChTable::OrderLine, "ol_amount");
+    o_id = id(ChTable::Orders, "o_id");
+    o_d_id = id(ChTable::Orders, "o_d_id");
+    o_w_id = id(ChTable::Orders, "o_w_id");
+    o_c_id = id(ChTable::Orders, "o_c_id");
+    o_entry_d = id(ChTable::Orders, "o_entry_d");
+    o_ol_cnt = id(ChTable::Orders, "o_ol_cnt");
+    o_all_local = id(ChTable::Orders, "o_all_local");
+    no_o_id = id(ChTable::NewOrder, "no_o_id");
+    no_d_id = id(ChTable::NewOrder, "no_d_id");
+    no_w_id = id(ChTable::NewOrder, "no_w_id");
+}
+
 TpccEngine::TpccEngine(Database &db, InstanceFormat fmt,
                        const format::BandwidthModel &bw,
                        const dram::BatchTimingModel &timing,
                        std::uint64_t seed, const TxnCostConfig &cost)
-    : db_(db), fmt_(fmt), bw_(bw), timing_(timing), cost_(cost),
-      rng_(seed)
+    : db_(db), fmt_(fmt), cost_(cost), rng_(seed), col_(db)
 {
+    const auto read = [&](Read r, ChTable t,
+                          std::initializer_list<const char *> cols) {
+        reads_[static_cast<std::size_t>(r)] =
+            priceRead(bw, timing, t, cols);
+    };
+    read(Read::PaymentWarehouse, ChTable::Warehouse,
+         {"w_ytd", "w_tax", "w_name"});
+    read(Read::PaymentDistrict, ChTable::District,
+         {"d_ytd", "d_tax", "d_name"});
+    read(Read::PaymentCustomer, ChTable::Customer,
+         {"c_balance", "c_ytd_payment", "c_payment_cnt", "c_credit",
+          "c_last"});
+    read(Read::NewOrderDistrict, ChTable::District,
+         {"d_next_o_id", "d_tax"});
+    read(Read::NewOrderCustomer, ChTable::Customer,
+         {"c_discount", "c_last", "c_credit"});
+    read(Read::NewOrderItem, ChTable::Item,
+         {"i_price", "i_name", "i_data"});
+    read(Read::NewOrderStock, ChTable::Stock,
+         {"s_quantity", "s_ytd", "s_order_cnt", "s_dist_01"});
+    for (std::size_t t = 0; t < workload::kChTableCount; ++t)
+        writes_[t] = priceWrite(bw, timing,
+                                db_.table(static_cast<ChTable>(t)));
+    orderLine_.assign(db_.table(ChTable::OrderLine).schema().rowBytes(),
+                      0);
 }
 
-double
-TpccEngine::readLines(const TableRuntime &tbl,
-                      const std::vector<ColumnId> &columns) const
+TpccEngine::ReadCharge
+TpccEngine::priceRead(const format::BandwidthModel &bw,
+                      const dram::BatchTimingModel &timing, ChTable t,
+                      std::initializer_list<const char *> columns)
+    const
 {
+    const auto &tbl = db_.table(t);
+    std::vector<ColumnId> ids;
+    for (const char *name : columns)
+        ids.push_back(tbl.schema().columnId(name));
+    ReadCharge c;
+    c.table = t;
     switch (fmt_) {
       case InstanceFormat::Unified:
-        return bw_.columnSetAccess(tbl.layout(), columns).avgLines;
+        c.lines = bw.columnSetAccess(tbl.layout(), ids).avgLines;
+        break;
       case InstanceFormat::RowStore:
-        return bw_.rowStoreColumns(tbl.schema(), columns).avgLines;
+        c.lines = bw.rowStoreColumns(tbl.schema(), ids).avgLines;
+        break;
       case InstanceFormat::ColumnStore:
-        return bw_.columnStoreColumns(tbl.schema(), columns)
-            .avgLines;
+        c.lines = bw.columnStoreColumns(tbl.schema(), ids).avgLines;
+        break;
     }
-    return 0.0;
+    const double overlap = fmt_ == InstanceFormat::ColumnStore
+                               ? cost_.columnStoreReadOverlap
+                               : cost_.rowFormatReadOverlap;
+    c.memNs = c.lines * timing.randomAccessLatency() / overlap;
+    // Loading re-layouts the fragments into the canonical form.
+    c.relayoutNs = cost_.relayoutNsPerFragment *
+                   static_cast<double>(ids.size());
+    return c;
 }
 
-double
-TpccEngine::writeLines(const TableRuntime &tbl) const
+TpccEngine::WriteCharge
+TpccEngine::priceWrite(const format::BandwidthModel &bw,
+                       const dram::BatchTimingModel &timing,
+                       const TableRuntime &tbl) const
 {
     // New versions append densely (consecutive delta slots share
     // lines across transactions in every format), so the amortised
     // write cost is the payload bytes — including the format's
     // padding — spread over whole lines.
-    const double line =
-        static_cast<double>(bw_.lineBytes());
+    const double line = static_cast<double>(bw.lineBytes());
+    WriteCharge c;
     switch (fmt_) {
       case InstanceFormat::Unified:
-        return static_cast<double>(tbl.layout().paddedRowBytes()) /
-               line;
+        c.lines =
+            static_cast<double>(tbl.layout().paddedRowBytes()) / line;
+        break;
       case InstanceFormat::RowStore:
       case InstanceFormat::ColumnStore:
-        return static_cast<double>(tbl.schema().rowBytes()) / line;
+        c.lines = static_cast<double>(tbl.schema().rowBytes()) / line;
+        break;
     }
-    return 0.0;
+    // Streamed writes cost each core its fair share of the bus.
+    const double bus_share_ns =
+        line / (timing.cpuPeakBandwidth().bytesPerNs() /
+                static_cast<double>(cost_.cores));
+    c.memNs = c.lines * bus_share_ns;
+    c.relayoutNs = cost_.relayoutNsPerFragment *
+                   static_cast<double>(
+                       tbl.store().codec().fragmentsPerRow());
+    return c;
+}
+
+TxnStats
+TpccEngine::stats() const
+{
+    static constexpr const char *kNames[] = {
+        "indexing",   "chain_traverse", "allocation",
+        "computation", "relayout",      "commit",
+    };
+    static_assert(std::size(kNames) ==
+                  static_cast<std::size_t>(Cpu::Count));
+    TxnStats s = stats_;
+    for (std::size_t i = 0; i < cpuNs_.size(); ++i)
+        if (cpuCharged_[i])
+            s.cpu.add(kNames[i], cpuNs_[i]);
+    return s;
 }
 
 void
-TpccEngine::chargeIndex(std::uint64_t probes)
+TpccEngine::resetStats()
 {
-    stats_.cpu.add("indexing",
-                   cost_.indexNsPerProbe *
-                       static_cast<double>(probes));
+    stats_ = TxnStats{};
+    cpuNs_ = {};
+    cpuCharged_ = {};
 }
 
 RowId
@@ -71,7 +182,8 @@ TpccEngine::lookupOrDie(ChTable t, std::uint64_t key)
     auto &index = db_.table(t).index();
     std::uint64_t probes = 0;
     const auto row = index.lookup(key, &probes);
-    chargeIndex(probes);
+    charge(Cpu::Indexing,
+           cost_.indexNsPerProbe * static_cast<double>(probes));
     if (!row)
         panic("missing key {} in table {}", key,
               db_.table(t).schema().name());
@@ -101,28 +213,16 @@ TpccEngine::releaseGates(Timestamp ts)
 }
 
 void
-TpccEngine::readRow(ChTable t, RowId row,
-                    const std::vector<ColumnId> &columns,
-                    std::span<std::uint8_t> out)
+TpccEngine::readRow(Read r, RowId row, std::span<std::uint8_t> out)
 {
-    const auto steps = db_.readNewest(t, row, out);
-    stats_.cpu.add("chain_traverse",
-                   cost_.traverseNsPerStep *
-                       static_cast<double>(steps));
-    const double lines = readLines(db_.table(t), columns);
-    const double overlap = fmt_ == InstanceFormat::ColumnStore
-                               ? cost_.columnStoreReadOverlap
-                               : cost_.rowFormatReadOverlap;
-    stats_.memLines += lines;
-    stats_.memTimeNs +=
-        lines * timing_.randomAccessLatency() / overlap;
-    if (fmt_ == InstanceFormat::Unified) {
-        // Loading re-layouts the fragments into the canonical form.
-        stats_.cpu.add(
-            "relayout",
-            cost_.relayoutNsPerFragment *
-                static_cast<double>(columns.size()));
-    }
+    const ReadCharge &c = reads_[static_cast<std::size_t>(r)];
+    const auto steps = db_.readNewest(c.table, row, out);
+    charge(Cpu::ChainTraverse,
+           cost_.traverseNsPerStep * static_cast<double>(steps));
+    stats_.memLines += c.lines;
+    stats_.memTimeNs += c.memNs;
+    if (fmt_ == InstanceFormat::Unified)
+        charge(Cpu::Relayout, c.relayoutNs);
 }
 
 void
@@ -137,24 +237,13 @@ TpccEngine::updateRow(ChTable t, RowId row,
     tbl.bumpWriteEpoch();
     ++stats_.versionsCreated;
 
-    stats_.cpu.add("allocation", cost_.allocNsPerVersion);
-    stats_.cpu.add("computation", cost_.computeNsPerVersion);
-    const double lines = writeLines(tbl);
-    stats_.memLines += lines;
-    // Streamed writes cost each core its fair share of the bus.
-    const double bus_share_ns =
-        static_cast<double>(bw_.lineBytes()) /
-        (timing_.cpuPeakBandwidth().bytesPerNs() /
-         static_cast<double>(cost_.cores));
-    stats_.memTimeNs += lines * bus_share_ns;
-    if (fmt_ == InstanceFormat::Unified) {
-        format::RowCodec codec(tbl.layout(),
-                               tbl.store().circulant());
-        stats_.cpu.add("relayout",
-                       cost_.relayoutNsPerFragment *
-                           static_cast<double>(
-                               codec.fragmentsPerRow()));
-    }
+    const WriteCharge &c = writes_[static_cast<std::size_t>(t)];
+    charge(Cpu::Allocation, cost_.allocNsPerVersion);
+    charge(Cpu::Computation, cost_.computeNsPerVersion);
+    stats_.memLines += c.lines;
+    stats_.memTimeNs += c.memNs;
+    if (fmt_ == InstanceFormat::Unified)
+        charge(Cpu::Relayout, c.relayoutNs);
 }
 
 RowId
@@ -171,12 +260,11 @@ TpccEngine::insertRow(ChTable t, std::span<const std::uint8_t> data,
 }
 
 void
-TpccEngine::commit(std::uint64_t dirtied_lines)
+TpccEngine::commit()
 {
     // clflush of the dirtied lines is already accounted as write
     // traffic; the commit fence serialises them (section 6.3).
-    (void)dirtied_lines;
-    stats_.cpu.add("commit", cost_.commitBarrierNs);
+    charge(Cpu::Commit, cost_.commitBarrierNs);
 }
 
 TxnDescriptor
@@ -273,54 +361,41 @@ TpccEngine::applyPayment(const TxnDescriptor &txn)
 
     // Warehouse: read tax/ytd, bump ytd.
     {
-        auto &tbl = db_.table(ChTable::Warehouse);
-        const auto &s = tbl.schema();
+        const auto &s = db_.table(ChTable::Warehouse).schema();
         const RowId row = lookupOrDie(ChTable::Warehouse, packKey(w));
         gateEnter(ChTable::Warehouse, row, ts);
         scratch_.assign(s.rowBytes(), 0);
-        readRow(ChTable::Warehouse, row,
-                {s.columnId("w_ytd"), s.columnId("w_tax"),
-                 s.columnId("w_name")},
-                scratch_);
+        readRow(Read::PaymentWarehouse, row, scratch_);
         RowView v(s, scratch_);
-        v.setInt("w_ytd", v.getInt("w_ytd") + amount);
+        v.setInt(col_.w_ytd, v.getInt(col_.w_ytd) + amount);
         updateRow(ChTable::Warehouse, row, scratch_, ts);
     }
     // District: same shape.
     {
-        auto &tbl = db_.table(ChTable::District);
-        const auto &s = tbl.schema();
+        const auto &s = db_.table(ChTable::District).schema();
         const RowId row =
             lookupOrDie(ChTable::District, packKey(w, d));
         gateEnter(ChTable::District, row, ts);
         scratch_.assign(s.rowBytes(), 0);
-        readRow(ChTable::District, row,
-                {s.columnId("d_ytd"), s.columnId("d_tax"),
-                 s.columnId("d_name")},
-                scratch_);
+        readRow(Read::PaymentDistrict, row, scratch_);
         RowView v(s, scratch_);
-        v.setInt("d_ytd", v.getInt("d_ytd") + amount);
+        v.setInt(col_.d_ytd, v.getInt(col_.d_ytd) + amount);
         updateRow(ChTable::District, row, scratch_, ts);
     }
     // Customer: balance / ytd / payment count.
     {
-        auto &tbl = db_.table(ChTable::Customer);
-        const auto &s = tbl.schema();
+        const auto &s = db_.table(ChTable::Customer).schema();
         const RowId row =
             lookupOrDie(ChTable::Customer, packKey(0, 0, c));
         gateEnter(ChTable::Customer, row, ts);
         scratch_.assign(s.rowBytes(), 0);
-        readRow(ChTable::Customer, row,
-                {s.columnId("c_balance"),
-                 s.columnId("c_ytd_payment"),
-                 s.columnId("c_payment_cnt"),
-                 s.columnId("c_credit"), s.columnId("c_last")},
-                scratch_);
+        readRow(Read::PaymentCustomer, row, scratch_);
         RowView v(s, scratch_);
-        v.setInt("c_balance", v.getInt("c_balance") - amount);
-        v.setInt("c_ytd_payment",
-                 v.getInt("c_ytd_payment") + amount);
-        v.setInt("c_payment_cnt", v.getInt("c_payment_cnt") + 1);
+        v.setInt(col_.c_balance, v.getInt(col_.c_balance) - amount);
+        v.setInt(col_.c_ytd_payment,
+                 v.getInt(col_.c_ytd_payment) + amount);
+        v.setInt(col_.c_payment_cnt,
+                 v.getInt(col_.c_payment_cnt) + 1);
         updateRow(ChTable::Customer, row, scratch_, ts);
     }
     // History insert.
@@ -328,17 +403,17 @@ TpccEngine::applyPayment(const TxnDescriptor &txn)
         const auto &s = db_.table(ChTable::History).schema();
         scratch_.assign(s.rowBytes(), 0);
         RowView v(s, scratch_);
-        v.setInt("h_c_id", static_cast<std::int64_t>(c));
-        v.setInt("h_c_w_id", static_cast<std::int64_t>(w));
-        v.setInt("h_d_id", static_cast<std::int64_t>(d));
-        v.setInt("h_w_id", static_cast<std::int64_t>(w));
-        v.setInt("h_date",
+        v.setInt(col_.h_c_id, static_cast<std::int64_t>(c));
+        v.setInt(col_.h_c_w_id, static_cast<std::int64_t>(w));
+        v.setInt(col_.h_d_id, static_cast<std::int64_t>(d));
+        v.setInt(col_.h_w_id, static_cast<std::int64_t>(w));
+        v.setInt(col_.h_date,
                  workload::kDateBase + static_cast<std::int64_t>(ts));
-        v.setInt("h_amount", amount);
+        v.setInt(col_.h_amount, amount);
         insertRow(ChTable::History, scratch_, ts);
     }
 
-    commit(0);
+    commit();
     releaseGates(ts);
     ++stats_.transactions;
     ++stats_.payments;
@@ -360,12 +435,10 @@ TpccEngine::applyNewOrder(const TxnDescriptor &txn)
             lookupOrDie(ChTable::District, packKey(w, d));
         gateEnter(ChTable::District, row, ts);
         scratch_.assign(s.rowBytes(), 0);
-        readRow(ChTable::District, row,
-                {s.columnId("d_next_o_id"), s.columnId("d_tax")},
-                scratch_);
+        readRow(Read::NewOrderDistrict, row, scratch_);
         RowView v(s, scratch_);
-        next_o_id = v.getInt("d_next_o_id");
-        v.setInt("d_next_o_id", next_o_id + 1);
+        next_o_id = v.getInt(col_.d_next_o_id);
+        v.setInt(col_.d_next_o_id, next_o_id + 1);
         updateRow(ChTable::District, row, scratch_, ts);
     }
     // Customer: discount / credit.
@@ -374,13 +447,12 @@ TpccEngine::applyNewOrder(const TxnDescriptor &txn)
         const RowId row =
             lookupOrDie(ChTable::Customer, packKey(0, 0, c));
         scratch_.assign(s.rowBytes(), 0);
-        readRow(ChTable::Customer, row,
-                {s.columnId("c_discount"), s.columnId("c_last"),
-                 s.columnId("c_credit")},
-                scratch_);
+        readRow(Read::NewOrderCustomer, row, scratch_);
     }
 
-    std::int64_t total_amount = 0;
+    const auto &item_schema = db_.table(ChTable::Item).schema();
+    const auto &stock_schema = db_.table(ChTable::Stock).schema();
+    const auto &ol_schema = db_.table(ChTable::OrderLine).schema();
     for (std::uint64_t line = 0; line < workload::kLinesPerOrder;
          ++line) {
         const auto item = txn.lines[line].item;
@@ -388,57 +460,45 @@ TpccEngine::applyNewOrder(const TxnDescriptor &txn)
 
         // Item read.
         {
-            const auto &s = db_.table(ChTable::Item).schema();
             const RowId row =
                 lookupOrDie(ChTable::Item, packKey(0, 0, item));
-            scratch_.assign(s.rowBytes(), 0);
-            readRow(ChTable::Item, row,
-                    {s.columnId("i_price"), s.columnId("i_name"),
-                     s.columnId("i_data")},
-                    scratch_);
-            price = RowView(s, scratch_).getInt("i_price");
+            scratch_.assign(item_schema.rowBytes(), 0);
+            readRow(Read::NewOrderItem, row, scratch_);
+            price = RowView(item_schema, scratch_).getInt(col_.i_price);
         }
         // Stock read-modify-write.
         {
-            const auto &s = db_.table(ChTable::Stock).schema();
             const RowId row =
                 lookupOrDie(ChTable::Stock, packKey(0, 0, item));
             gateEnter(ChTable::Stock, row, ts);
-            scratch_.assign(s.rowBytes(), 0);
-            readRow(ChTable::Stock, row,
-                    {s.columnId("s_quantity"), s.columnId("s_ytd"),
-                     s.columnId("s_order_cnt"),
-                     s.columnId("s_dist_01")},
-                    scratch_);
-            RowView v(s, scratch_);
+            scratch_.assign(stock_schema.rowBytes(), 0);
+            readRow(Read::NewOrderStock, row, scratch_);
+            RowView v(stock_schema, scratch_);
             const std::int64_t qty = txn.lines[line].qty;
-            std::int64_t sq = v.getInt("s_quantity");
+            std::int64_t sq = v.getInt(col_.s_quantity);
             sq = sq >= qty + 10 ? sq - qty : sq - qty + 91;
-            v.setInt("s_quantity", sq);
-            v.setInt("s_ytd", v.getInt("s_ytd") + qty);
-            v.setInt("s_order_cnt", v.getInt("s_order_cnt") + 1);
+            v.setInt(col_.s_quantity, sq);
+            v.setInt(col_.s_ytd, v.getInt(col_.s_ytd) + qty);
+            v.setInt(col_.s_order_cnt, v.getInt(col_.s_order_cnt) + 1);
             updateRow(ChTable::Stock, row, scratch_, ts);
 
-            total_amount += qty * price;
-
-            // Order line insert.
-            const auto &ols = db_.table(ChTable::OrderLine).schema();
-            std::vector<std::uint8_t> ol(ols.rowBytes(), 0);
-            RowView lv(ols, ol);
-            lv.setInt("ol_o_id", next_o_id);
-            lv.setInt("ol_d_id", static_cast<std::int64_t>(d));
-            lv.setInt("ol_w_id", static_cast<std::int64_t>(w));
-            lv.setInt("ol_number",
+            // Order line insert. Every line sets the same columns of
+            // the zero-initialised buffer, so it needs no clearing.
+            RowView lv(ol_schema, orderLine_);
+            lv.setInt(col_.ol_o_id, next_o_id);
+            lv.setInt(col_.ol_d_id, static_cast<std::int64_t>(d));
+            lv.setInt(col_.ol_w_id, static_cast<std::int64_t>(w));
+            lv.setInt(col_.ol_number,
                       static_cast<std::int64_t>(line + 1));
-            lv.setInt("ol_i_id", static_cast<std::int64_t>(item));
-            lv.setInt("ol_supply_w_id",
+            lv.setInt(col_.ol_i_id, static_cast<std::int64_t>(item));
+            lv.setInt(col_.ol_supply_w_id,
                       static_cast<std::int64_t>(w));
-            lv.setInt("ol_delivery_d",
+            lv.setInt(col_.ol_delivery_d,
                       workload::kDateBase +
                           static_cast<std::int64_t>(ts));
-            lv.setInt("ol_quantity", qty);
-            lv.setInt("ol_amount", qty * price);
-            insertRow(ChTable::OrderLine, ol, ts);
+            lv.setInt(col_.ol_quantity, qty);
+            lv.setInt(col_.ol_amount, qty * price);
+            insertRow(ChTable::OrderLine, orderLine_, ts);
         }
     }
 
@@ -447,29 +507,28 @@ TpccEngine::applyNewOrder(const TxnDescriptor &txn)
         const auto &s = db_.table(ChTable::Orders).schema();
         scratch_.assign(s.rowBytes(), 0);
         RowView v(s, scratch_);
-        v.setInt("o_id", next_o_id);
-        v.setInt("o_d_id", static_cast<std::int64_t>(d));
-        v.setInt("o_w_id", static_cast<std::int64_t>(w));
-        v.setInt("o_c_id", static_cast<std::int64_t>(c));
-        v.setInt("o_entry_d",
+        v.setInt(col_.o_id, next_o_id);
+        v.setInt(col_.o_d_id, static_cast<std::int64_t>(d));
+        v.setInt(col_.o_w_id, static_cast<std::int64_t>(w));
+        v.setInt(col_.o_c_id, static_cast<std::int64_t>(c));
+        v.setInt(col_.o_entry_d,
                  workload::kDateBase + static_cast<std::int64_t>(ts));
-        v.setInt("o_ol_cnt", static_cast<std::int64_t>(
-                                 workload::kLinesPerOrder));
-        v.setInt("o_all_local", 1);
+        v.setInt(col_.o_ol_cnt, static_cast<std::int64_t>(
+                                    workload::kLinesPerOrder));
+        v.setInt(col_.o_all_local, 1);
         insertRow(ChTable::Orders, scratch_, ts);
     }
     {
         const auto &s = db_.table(ChTable::NewOrder).schema();
         scratch_.assign(s.rowBytes(), 0);
         RowView v(s, scratch_);
-        v.setInt("no_o_id", next_o_id);
-        v.setInt("no_d_id", static_cast<std::int64_t>(d));
-        v.setInt("no_w_id", static_cast<std::int64_t>(w));
+        v.setInt(col_.no_o_id, next_o_id);
+        v.setInt(col_.no_d_id, static_cast<std::int64_t>(d));
+        v.setInt(col_.no_w_id, static_cast<std::int64_t>(w));
         insertRow(ChTable::NewOrder, scratch_, ts);
     }
 
-    (void)total_amount;
-    commit(0);
+    commit();
     releaseGates(ts);
     ++stats_.transactions;
     ++stats_.newOrders;

@@ -20,7 +20,9 @@
  */
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -30,6 +32,7 @@
 #include "dram/timing_model.hpp"
 #include "format/bandwidth.hpp"
 #include "txn/database.hpp"
+#include "workload/ch_schema.hpp"
 #include "workload/ch_gen.hpp"
 
 namespace pushtap::txn {
@@ -183,12 +186,74 @@ class TpccEngine
     /** Install row-ordering gates (nullptr disables; not owned). */
     void setGate(TxnGate *gate) { gate_ = gate; }
 
-    const TxnStats &stats() const { return stats_; }
-    void resetStats() { stats_ = TxnStats{}; }
+    /** Statistics so far, with the CPU slots folded by component. */
+    TxnStats stats() const;
+    void resetStats();
 
     InstanceFormat instanceFormat() const { return fmt_; }
 
   private:
+    /**
+     * The seven row reads of Payment and New-Order. Each reads a
+     * fixed column set of one table, so its modelled charge is priced
+     * once per engine.
+     */
+    enum class Read : std::uint8_t
+    {
+        PaymentWarehouse,
+        PaymentDistrict,
+        PaymentCustomer,
+        NewOrderDistrict,
+        NewOrderCustomer,
+        NewOrderItem,
+        NewOrderStock,
+        Count,
+    };
+
+    /** The CPU components of Fig. 11(c), one accumulator each. */
+    enum class Cpu : std::uint8_t
+    {
+        Indexing,
+        ChainTraverse,
+        Allocation,
+        Computation,
+        Relayout,
+        Commit,
+        Count,
+    };
+
+    /** Modelled charge of one row read, priced at construction. */
+    struct ReadCharge
+    {
+        workload::ChTable table;
+        double lines = 0.0;      ///< Lines fetched.
+        double memNs = 0.0;      ///< Their latency after overlap.
+        double relayoutNs = 0.0; ///< Unified only: fragment loads.
+    };
+
+    /** Modelled charge of one new version of a table's row. */
+    struct WriteCharge
+    {
+        double lines = 0.0;
+        double memNs = 0.0;      ///< Fair share of the bus.
+        double relayoutNs = 0.0; ///< Unified only: fragment stores.
+    };
+
+    /** Column ids the transactions read and write, by name. */
+    struct Columns
+    {
+        explicit Columns(const Database &db);
+
+        ColumnId w_ytd, d_ytd, d_next_o_id, c_balance, c_ytd_payment,
+            c_payment_cnt, i_price, s_quantity, s_ytd, s_order_cnt;
+        ColumnId h_c_id, h_c_w_id, h_d_id, h_w_id, h_date, h_amount;
+        ColumnId ol_o_id, ol_d_id, ol_w_id, ol_number, ol_i_id,
+            ol_supply_w_id, ol_delivery_d, ol_quantity, ol_amount;
+        ColumnId o_id, o_d_id, o_w_id, o_c_id, o_entry_d, o_ol_cnt,
+            o_all_local;
+        ColumnId no_o_id, no_d_id, no_w_id;
+    };
+
     void applyPayment(const TxnDescriptor &d);
     void applyNewOrder(const TxnDescriptor &d);
 
@@ -198,17 +263,29 @@ class TpccEngine
     /** Leave every gate held by the current transaction. */
     void releaseGates(Timestamp ts);
 
-    /** Line cost of reading @p columns of one row. */
-    double readLines(const TableRuntime &tbl,
-                     const std::vector<ColumnId> &columns) const;
+    /** Price a read of the named @p columns of one row of @p t. */
+    ReadCharge priceRead(const format::BandwidthModel &bw,
+                         const dram::BatchTimingModel &timing,
+                         workload::ChTable t,
+                         std::initializer_list<const char *> columns)
+        const;
 
-    /** Line cost of writing one full row (a new version). */
-    double writeLines(const TableRuntime &tbl) const;
+    /** Price a new version of one row of @p tbl. */
+    WriteCharge priceWrite(const format::BandwidthModel &bw,
+                           const dram::BatchTimingModel &timing,
+                           const TableRuntime &tbl) const;
+
+    /** Add @p ns to CPU component @p c (and mark it charged). */
+    void
+    charge(Cpu c, double ns)
+    {
+        const auto i = static_cast<std::size_t>(c);
+        cpuNs_[i] += ns;
+        cpuCharged_[i] = true;
+    }
 
     /** Functional read of the newest version + cost accounting. */
-    void readRow(workload::ChTable t, RowId row,
-                 const std::vector<ColumnId> &columns,
-                 std::span<std::uint8_t> out);
+    void readRow(Read r, RowId row, std::span<std::uint8_t> out);
 
     /** Create a new version of @p row with the bytes in @p data. */
     void updateRow(workload::ChTable t, RowId row,
@@ -220,17 +297,24 @@ class TpccEngine
 
     RowId lookupOrDie(workload::ChTable t, std::uint64_t key);
 
-    void chargeIndex(std::uint64_t probes);
-    void commit(std::uint64_t dirtied_lines);
+    void commit();
 
     Database &db_;
     InstanceFormat fmt_;
-    const format::BandwidthModel &bw_;
-    dram::BatchTimingModel timing_;
     TxnCostConfig cost_;
     Rng rng_;
-    TxnStats stats_;
+    Columns col_;
+    std::array<ReadCharge, static_cast<std::size_t>(Read::Count)>
+        reads_;
+    std::array<WriteCharge, workload::kChTableCount> writes_;
+
+    TxnStats stats_; ///< Everything but cpu, which lives in cpuNs_.
+    std::array<double, static_cast<std::size_t>(Cpu::Count)> cpuNs_{};
+    std::array<bool, static_cast<std::size_t>(Cpu::Count)>
+        cpuCharged_{};
+
     std::vector<std::uint8_t> scratch_;
+    std::vector<std::uint8_t> orderLine_;
     TxnGate *gate_ = nullptr;
 
     /** Gates held by the in-flight transaction (deduplicated). */

@@ -125,6 +125,12 @@ class RowView
     }
 
     std::int64_t
+    getInt(ColumnId id) const
+    {
+        return asConst().getInt(id);
+    }
+
+    std::int64_t
     getInt(std::string_view name) const
     {
         return asConst().getInt(name);

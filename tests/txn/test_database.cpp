@@ -2,6 +2,7 @@
 
 #include "common/log.hpp"
 
+#include <optional>
 #include <vector>
 
 #include "txn/database.hpp"
@@ -77,6 +78,51 @@ TEST_F(DatabaseTest, IndexResolvesPrimaryKeys)
     auto &district = db().table(ChTable::District);
     EXPECT_TRUE(
         district.index().lookup(packKey(0, 7)).has_value());
+}
+
+TEST_F(DatabaseTest, PopulateStoresAndIndexesEveryRow)
+{
+    // Every populated data row holds the generator's bytes, and each
+    // of the six indexed tables maps every row's primary key to it;
+    // history, neworder and orderline carry no index entries.
+    for (std::size_t i = 0; i < workload::kChTableCount; ++i) {
+        const auto t = static_cast<ChTable>(i);
+        auto &tbl = db().table(t);
+        const auto &schema = tbl.schema();
+        std::vector<std::uint8_t> expect(schema.rowBytes());
+        std::vector<std::uint8_t> got(schema.rowBytes());
+        const workload::ConstRowView v(schema, expect);
+        const auto key = [&]() -> std::optional<std::uint64_t> {
+            const auto f = [&v](const char *name) {
+                return static_cast<std::uint64_t>(v.getInt(name));
+            };
+            switch (t) {
+              case ChTable::Warehouse: return packKey(f("w_id"));
+              case ChTable::District:
+                return packKey(f("d_w_id"), f("d_id"));
+              case ChTable::Customer: return packKey(0, 0, f("c_id"));
+              case ChTable::Item: return packKey(0, 0, f("i_id"));
+              case ChTable::Stock: return packKey(0, 0, f("s_i_id"));
+              case ChTable::Orders: return packKey(0, 0, f("o_id"));
+              default: return std::nullopt;
+            }
+        };
+        const std::uint64_t n = tbl.populatedRows();
+        bool indexed = false;
+        for (RowId r = 0; r < n; ++r) {
+            db().generator().fillRow(t, schema, r, expect);
+            tbl.store().readRow(storage::Region::Data, r, got);
+            ASSERT_EQ(got, expect) << schema.name() << " row " << r;
+            const auto k = key();
+            indexed = k.has_value();
+            if (k) {
+                ASSERT_EQ(tbl.index().lookup(*k), r)
+                    << schema.name() << " row " << r;
+            }
+        }
+        EXPECT_EQ(tbl.index().size(), indexed ? n : 0u)
+            << schema.name();
+    }
 }
 
 TEST_F(DatabaseTest, ReadNewestFollowsVersions)

@@ -2,6 +2,7 @@
 
 #include "common/log.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -122,6 +123,44 @@ TEST_F(TxnWorkerGroupTest, ParallelMatchesSerialRowValues)
         EXPECT_EQ(serial_db.table(t).usedDataRows(),
                   par_db.table(t).usedDataRows())
             << workload::chTableName(t);
+}
+
+TEST_F(TxnWorkerGroupTest, ParallelStatsMatchSerialEngine)
+{
+    // Two workers price the serial engine's schedule. Their merged
+    // sums add the same charges in another order, so they match to
+    // rounding, not bit for bit. chain_traverse is left out: New-Order
+    // reads its customer row without a gate, so how many versions
+    // that read walks depends on the interleaving.
+    constexpr std::uint64_t kTxns = 200;
+    Database serial_db(smallConfig());
+    TpccEngine engine(serial_db, InstanceFormat::Unified, bw, timing,
+                      7);
+    for (std::uint64_t i = 0; i < kTxns; ++i)
+        engine.executeMixed();
+    const TxnStats serial = engine.stats();
+
+    Database par_db(smallConfig());
+    auto group = makeGroup(par_db, 2);
+    group->run(kTxns);
+    const TxnStats par = group->stats();
+
+    EXPECT_EQ(par.transactions, serial.transactions);
+    EXPECT_EQ(par.payments, serial.payments);
+    EXPECT_EQ(par.newOrders, serial.newOrders);
+    EXPECT_EQ(par.versionsCreated, serial.versionsCreated);
+    const auto near = [](double got, double want) {
+        EXPECT_NEAR(got, want, 1e-9 * std::abs(want));
+    };
+    near(par.memLines, serial.memLines);
+    near(par.memTimeNs, serial.memTimeNs);
+    ASSERT_EQ(par.cpu.parts().size(), serial.cpu.parts().size());
+    for (const auto &[name, ns] : serial.cpu.parts()) {
+        SCOPED_TRACE(name);
+        ASSERT_EQ(par.cpu.parts().count(name), 1u);
+        if (name != "chain_traverse")
+            near(par.cpu.get(name), ns);
+    }
 }
 
 TEST_F(TxnWorkerGroupTest, FrontierReachesBasePlusCount)

@@ -8,7 +8,10 @@
  * the MVCC machinery) while a cost model accumulates the CPU-side
  * breakdown of Fig. 11(c) (indexing / allocation / computation /
  * version-chain traversal) and the DRAM line traffic implied by the
- * instance's storage format (Fig. 9(a)).
+ * instance's storage format (Fig. 9(a)). A statement's line traffic
+ * and re-layout charges depend only on the format and the table
+ * layouts, so each is priced once, when the engine is built, and
+ * every row access replays that price.
  *
  * Execution is split into two halves so a multi-worker front end can
  * reuse it: gen*() draws a transaction's parameters into a

@@ -156,8 +156,8 @@ TxnStats
 TpccEngine::stats() const
 {
     static constexpr const char *kNames[] = {
-        "indexing",   "chain_traverse", "allocation",
-        "computation", "relayout",      "commit",
+        "indexing",    "chain_traverse", "allocation",
+        "computation", "relayout",       "commit",
     };
     static_assert(std::size(kNames) ==
                   static_cast<std::size_t>(Cpu::Count));

@@ -10,7 +10,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -27,24 +26,6 @@ std::uint32_t
 OlapConfig::defaultMorselRows(txn::InstanceFormat)
 {
     return kMorselRows;
-}
-
-bool
-OlapConfig::optimizeForcedByEnv()
-{
-    // Same run-time switch shape as PUSHTAP_FORCE_SCALAR_KERNELS:
-    // set (to anything but "0") forces the optimizer on, letting CI
-    // drive whole existing suites through the optimized path without
-    // touching their code.
-    const char *v = std::getenv("PUSHTAP_OLAP_OPTIMIZE");
-    return v != nullptr && std::string_view(v) != "0";
-}
-
-bool
-OlapConfig::resultCacheForcedByEnv()
-{
-    const char *v = std::getenv("PUSHTAP_OLAP_RESULT_CACHE");
-    return v != nullptr && std::string_view(v) != "0";
 }
 
 OlapConfig
@@ -86,10 +67,6 @@ OlapEngine::OlapEngine(txn::Database &db, const OlapConfig &cfg)
           timing_.pimAggregateBandwidth(cfg.pimConfig.streamBandwidth),
           db.config().devices)
 {
-    if (OlapConfig::optimizeForcedByEnv())
-        cfg_.optimize = true;
-    if (OlapConfig::resultCacheForcedByEnv())
-        cfg_.resultCache = true;
     if (cfg_.morselRows == 0 ||
         (cfg_.morselRows & (cfg_.morselRows - 1)) != 0)
         fatal("OlapConfig: morselRows must be a power of two "

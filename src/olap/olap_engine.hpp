@@ -96,13 +96,9 @@ struct OlapConfig
      * result-preserving transforms are ever candidates) and the
      * chosen plan's priced cost is never above the hand-built
      * plan's. Off by default: all golden QueryReport decompositions
-     * assume the hand-built plans. The PUSHTAP_OLAP_OPTIMIZE
-     * environment variable (any value but "0") forces it on, the
-     * same switch shape as PUSHTAP_FORCE_SCALAR_KERNELS.
+     * assume the hand-built plans.
      */
     bool optimize = false;
-    /** True when PUSHTAP_OLAP_OPTIMIZE forces the optimizer on. */
-    static bool optimizeForcedByEnv();
     /**
      * Frontier-keyed result cache with delta-incremental aggregate
      * re-execution (olap/result_cache.hpp): repeated queries whose
@@ -112,13 +108,9 @@ struct OlapConfig
      * into the cached group accumulators. Answers are always
      * byte-identical to a cold run at the same frontier. Off by
      * default: all golden QueryReport decompositions assume cold
-     * runs. The PUSHTAP_OLAP_RESULT_CACHE environment variable (any
-     * value but "0") forces it on, the same switch shape as
-     * PUSHTAP_OLAP_OPTIMIZE.
+     * runs.
      */
     bool resultCache = false;
-    /** True when PUSHTAP_OLAP_RESULT_CACHE forces the cache on. */
-    static bool resultCacheForcedByEnv();
     /** The default morsel size, kMorselRows for every instance
      *  format. */
     static std::uint32_t defaultMorselRows(txn::InstanceFormat f);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -19,13 +18,6 @@ namespace pushtap::olap::simd {
 namespace {
 
 std::atomic<bool> g_force_scalar{false};
-
-bool
-envForcedScalar()
-{
-    const char *v = std::getenv("PUSHTAP_FORCE_SCALAR_KERNELS");
-    return v != nullptr && !(v[0] == '0' && v[1] == '\0');
-}
 
 bool
 cpuHasAvx2()
@@ -421,12 +413,8 @@ kernelDispatch()
 #else
         k.forcedScalarBuild = false;
 #endif
-        k.forcedScalarEnv = envForcedScalar();
         k.avx2 = cpuHasAvx2();
-        k.active = (k.avx2 && !k.forcedScalarBuild &&
-                    !k.forcedScalarEnv)
-                       ? "avx2"
-                       : "scalar";
+        k.active = (k.avx2 && !k.forcedScalarBuild) ? "avx2" : "scalar";
         return k;
     }();
     return d;
@@ -442,7 +430,7 @@ bool
 simdActive()
 {
     const KernelDispatch &d = kernelDispatch();
-    return d.avx2 && !d.forcedScalarBuild && !d.forcedScalarEnv &&
+    return d.avx2 && !d.forcedScalarBuild &&
            !g_force_scalar.load(std::memory_order_relaxed);
 }
 

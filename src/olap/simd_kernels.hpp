@@ -12,10 +12,9 @@
  *  - compile time: building with -DPUSHTAP_FORCE_SCALAR_KERNELS=1
  *    (CMake option PUSHTAP_FORCE_SCALAR_KERNELS) removes the vector
  *    paths entirely — the CI fallback leg proving bit-equality;
- *  - run time: the PUSHTAP_FORCE_SCALAR_KERNELS environment variable
- *    (any value but "0"), the forceScalarKernels() test/bench hook,
- *    and a __builtin_cpu_supports("avx2") probe select between the
- *    256-bit AVX2 kernels and the scalar reference. Non-x86 targets
+ *  - run time: the forceScalarKernels() test/bench hook and a
+ *    __builtin_cpu_supports("avx2") probe select between the 256-bit
+ *    AVX2 kernels and the scalar reference. Non-x86 targets
  *    (NEON/SSE-only hosts) currently take the scalar reference path.
  *
  * The AVX2 kernels share one primitive: compare (or table-lookup) 8
@@ -40,12 +39,11 @@ namespace pushtap::olap::simd {
 struct KernelDispatch
 {
     bool forcedScalarBuild; ///< -DPUSHTAP_FORCE_SCALAR_KERNELS=1.
-    bool forcedScalarEnv;   ///< PUSHTAP_FORCE_SCALAR_KERNELS env.
     bool avx2;              ///< Host CPU supports AVX2.
     const char *active;     ///< "avx2" or "scalar".
 };
 
-/** Dispatch facts, resolved once (env read at first call). */
+/** Dispatch facts, resolved once (CPU probed at first call). */
 const KernelDispatch &kernelDispatch();
 
 /** Runtime override for benches/tests: true forces the scalar

@@ -66,21 +66,14 @@ TEST_F(PushtapDbTest, DefragKeepsResultsCorrect)
 TEST_F(PushtapDbTest, Q1AndQ9Run)
 {
     db.mixed(10);
-    // A forced optimizer may price this tiny table's scans entirely
-    // on the CPU gather path; the queries still run and answer.
-    const bool pim_pinned = !olap::OlapConfig::optimizeForcedByEnv();
     olap::QueryResult q1rows;
     const auto q1 =
         db.runQuery(olap::plans::q1(workload::kDateBase), &q1rows);
     EXPECT_FALSE(q1rows.rows.empty());
-    if (pim_pinned) {
-        EXPECT_GT(q1.pimNs, 0.0);
-    }
+    EXPECT_GT(q1.pimNs, 0.0);
 
     const auto q9 = db.runQuery(olap::plans::q9());
-    if (pim_pinned) {
-        EXPECT_GT(q9.pimNs, 0.0);
-    }
+    EXPECT_GT(q9.pimNs, 0.0);
 }
 
 TEST_F(PushtapDbTest, DefragIntervalZeroDisables)

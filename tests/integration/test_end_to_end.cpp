@@ -85,9 +85,6 @@ TEST_F(EndToEnd, BaselinesAndEngineAgreeOnScanScale)
     // The analytic Ideal baseline and the functional engine must
     // price the same Q6 within a sensible factor (the engine adds
     // fragmentation and bitmap costs).
-    if (olap::OlapConfig::optimizeForcedByEnv())
-        GTEST_SKIP() << "optimizer forced on: scans may legally "
-                        "move to the CPU gather path at this scale";
     htap::PushtapDB db(options());
     const auto &geom = db.olap().config().geom;
     const htap::AnalyticOlapModel analytic(

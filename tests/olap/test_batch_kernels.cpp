@@ -424,10 +424,6 @@ TEST_F(BatchVsReferenceTest, FusedScanPricingReducesModelledTime)
     // PIM time of a fused plan drops (one serial scan instead of
     // one per probe column) — for the join-free Q6 and for the
     // probe-keyed semi-join Q14, whose probe pass also runs fused.
-    if (OlapConfig::optimizeForcedByEnv())
-        GTEST_SKIP() << "optimizer forced on: reports are priced "
-                        "over the chosen plan, not the fuseScans "
-                        "comparison this test pins";
     auto fused_cfg = OlapConfig::pushtapDimm();
     fused_cfg.fuseScans = true;
     OlapEngine fused(db, fused_cfg);

@@ -86,11 +86,7 @@ TEST_F(OlapEngineTest, Q6MatchesReferenceOnCleanData)
               referenceQ6(db, workload::kDateBase,
                                    workload::kDateBase + 2000, 1,
                                    10));
-    // A forced optimizer may legitimately demote every scan of this
-    // tiny table to the CPU gather path, pricing pimNs to zero.
-    if (!OlapConfig::optimizeForcedByEnv()) {
-        EXPECT_GT(rep.pimNs, 0.0);
-    }
+    EXPECT_GT(rep.pimNs, 0.0);
     EXPECT_EQ(rep.rowsVisible,
               db.table(ChTable::OrderLine).populatedRows());
 }
@@ -282,10 +278,7 @@ TEST_F(OlapEngineTest, BlockCirculantImprovesParallelism)
 
 TEST_F(OlapEngineTest, CpuBlockedTimeOnlyDuringLoadPhases)
 {
-    // Bank-lock time exists only while scans run on PIM; a forced
-    // optimizer may price this tiny table's scans on the CPU.
-    if (OlapConfig::optimizeForcedByEnv())
-        GTEST_SKIP() << "optimizer forced on";
+    // Bank-lock time exists only while scans run on PIM.
     engine.prepareSnapshot(db.now());
     const auto rep = engine.runQuery(plans::q6(0, 1LL << 60, 1, 10));
     EXPECT_GT(rep.cpuBlockedNs, 0.0);
@@ -300,9 +293,6 @@ TEST_F(OlapEngineTest, Q6TimingMatchesBespokeDecomposition)
     // Reconstruct the original hand-rolled Q6 pricing: three serial
     // scans (Filter delivery, Filter quantity, Aggregation amount)
     // plus one 8 B partial-sum merge per PIM unit.
-    if (OlapConfig::optimizeForcedByEnv())
-        GTEST_SKIP() << "optimizer forced on: report is priced over "
-                        "the chosen plan, not this hand-built pin";
     for (int i = 0; i < 20; ++i)
         oltp.executeMixed();
     engine.prepareSnapshot(db.now());
@@ -335,9 +325,6 @@ TEST_F(OlapEngineTest, Q6TimingMatchesBespokeDecomposition)
 
 TEST_F(OlapEngineTest, Q1TimingMatchesBespokeDecomposition)
 {
-    if (OlapConfig::optimizeForcedByEnv())
-        GTEST_SKIP() << "optimizer forced on: report is priced over "
-                        "the chosen plan, not this hand-built pin";
     for (int i = 0; i < 20; ++i)
         oltp.executeMixed();
     engine.prepareSnapshot(db.now());
@@ -368,9 +355,6 @@ TEST_F(OlapEngineTest, Q9TimingMatchesBespokeDecomposition)
 {
     // Q9 now carries its full CH join graph (ITEM, STOCK and ORDERS
     // legs); the decomposition mirrors priceQuery leg by leg.
-    if (OlapConfig::optimizeForcedByEnv())
-        GTEST_SKIP() << "optimizer forced on: report is priced over "
-                        "the chosen plan, not this hand-built pin";
     for (int i = 0; i < 20; ++i)
         oltp.executeMixed();
     engine.prepareSnapshot(db.now());

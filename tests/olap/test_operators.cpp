@@ -33,10 +33,9 @@ smallConfig()
 }
 
 /**
- * The core property: every executable plan's aggregates exactly
- * match the naive reference scan over the same snapshot, for every
- * InstanceFormat (the format changes OLTP pricing, never results)
- * and with in-flight delta versions present.
+ * A frozen snapshot keeps its answers while later commits land, for
+ * every InstanceFormat. The all-plans reference property lives in
+ * tests/integration/test_differential.cpp.
  */
 class OperatorPropertyTest
     : public ::testing::TestWithParam<InstanceFormat>
@@ -57,36 +56,6 @@ class OperatorPropertyTest
     TpccEngine oltp;
     OlapEngine engine;
 };
-
-TEST_P(OperatorPropertyTest, CleanDataMatchesReference)
-{
-    engine.prepareSnapshot(db.now());
-    testsupport::RefTables tables(db);
-    for (const auto &q : workload::chExecutablePlans()) {
-        QueryResult res;
-        engine.runQuery(q.plan, &res);
-        expectRows(res, referenceExecute(tables, q.plan),
-                   q.plan.name + " clean");
-    }
-}
-
-TEST_P(OperatorPropertyTest, InFlightDeltasMatchReference)
-{
-    for (int i = 0; i < 40; ++i)
-        oltp.executeMixed();
-    ASSERT_GT(db.table(workload::ChTable::OrderLine)
-                  .versions()
-                  .deltaUsed(),
-              0u);
-    engine.prepareSnapshot(db.now());
-    testsupport::RefTables tables(db);
-    for (const auto &q : workload::chExecutablePlans()) {
-        QueryResult res;
-        engine.runQuery(q.plan, &res);
-        expectRows(res, referenceExecute(tables, q.plan),
-                   q.plan.name + " deltas");
-    }
-}
 
 TEST_P(OperatorPropertyTest, FrozenSnapshotIgnoresLaterCommits)
 {

@@ -150,34 +150,6 @@ TEST_P(OptimizerPropertyTest, AllPlansByteIdenticalAndNeverPricedWorse)
     EXPECT_GT(st->probeVisible, 0u);
 }
 
-TEST_P(OptimizerPropertyTest, KnobSweepIsResultInvariant)
-{
-    // User-set shards/workers pass through the optimizer untouched
-    // and never perturb answers.
-    OlapEngine ref(db, OlapConfig::pushtapDimm());
-    ref.prepareSnapshot(db.now());
-    std::vector<QueryResult> want;
-    for (const auto &q : workload::chExecutablePlans()) {
-        QueryResult r;
-        ref.runQuery(q.plan, &r);
-        want.push_back(std::move(r));
-    }
-    for (const std::uint32_t shards : {2u, 4u}) {
-        OlapEngine opt(db, optimizedConfig(shards, 2));
-        opt.prepareSnapshot(db.now());
-        std::size_t i = 0;
-        for (const auto &q : workload::chExecutablePlans()) {
-            const auto what =
-                q.plan.name + " s" + std::to_string(shards);
-            QueryResult r;
-            const auto rep = opt.runQuery(q.plan, &r);
-            expectSameResult(r, want[i++], what);
-            EXPECT_EQ(rep.execShards, shards) << what;
-            EXPECT_EQ(rep.execWorkers, 2u) << what;
-        }
-    }
-}
-
 TEST(OptimizerStatsPersistence, SurvivesEngineInstances)
 {
     // PUSHTAP_OLAP_STATS_FILE carries the per-plan stats cache
@@ -592,27 +564,6 @@ TEST_F(OptimizerTest, KnobResolutionOrder)
     const auto oq_tiny = engine.optimizePlan(tiny);
     EXPECT_LT(oq_tiny.morselRows, engine.config().morselRows);
     EXPECT_GE(oq_tiny.morselRows, 64u);
-}
-
-TEST_F(OptimizerTest, EnvVariableForcesOptimizer)
-{
-    const char *old = std::getenv("PUSHTAP_OLAP_OPTIMIZE");
-    const std::string saved = old ? old : "";
-
-    ::setenv("PUSHTAP_OLAP_OPTIMIZE", "1", 1);
-    EXPECT_TRUE(OlapConfig::optimizeForcedByEnv());
-    OlapEngine forced(db, OlapConfig::pushtapDimm());
-    EXPECT_TRUE(forced.config().optimize);
-
-    ::setenv("PUSHTAP_OLAP_OPTIMIZE", "0", 1);
-    EXPECT_FALSE(OlapConfig::optimizeForcedByEnv());
-    OlapEngine off(db, OlapConfig::pushtapDimm());
-    EXPECT_FALSE(off.config().optimize);
-
-    if (old)
-        ::setenv("PUSHTAP_OLAP_OPTIMIZE", saved.c_str(), 1);
-    else
-        ::unsetenv("PUSHTAP_OLAP_OPTIMIZE");
 }
 
 } // namespace

@@ -3,22 +3,15 @@
 #include "common/log.hpp"
 
 #include <cstdint>
-#include <string>
 
-#include "common/worker_pool.hpp"
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
-#include "olap/simd_kernels.hpp"
-#include "support/reference_check.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 
 namespace pushtap::olap {
 namespace {
 
-using testsupport::expectExecution;
-using testsupport::referenceAnswer;
-using testsupport::RefAnswer;
 using txn::Database;
 using txn::DatabaseConfig;
 using txn::InstanceFormat;
@@ -30,139 +23,11 @@ smallConfig()
 {
     DatabaseConfig cfg;
     cfg.scale = 0.0002;
-    // 64-row blocks: build-side shard boundaries land mid-morsel, so
-    // the per-task scan walk of the partitioned build is exercised.
     cfg.blockRows = 64;
     cfg.deltaFraction = 3.0;
     cfg.insertHeadroom = 1.0;
     return cfg;
 }
-
-/** Force the scalar reference kernels for one scope. */
-struct ScalarGuard
-{
-    explicit ScalarGuard(bool on) { simd::forceScalarKernels(on); }
-    ~ScalarGuard() { simd::forceScalarKernels(false); }
-};
-
-/**
- * Byte-identity of the partitioned parallel build phase: every
- * catalog plan with a join or subquery, every InstanceFormat, swept
- * across workers x shards against the reference executor. In-flight
- * deltas (transactions ingested after the snapshot) stay in the
- * delta region and stress the two-tasks-per-shard scan order; the
- * reference answers are taken at the snapshot, before they commit.
- */
-class ParallelBuildTest
-    : public ::testing::TestWithParam<InstanceFormat>
-{
-  protected:
-    ParallelBuildTest()
-        : db(smallConfig()),
-          bw(8, 8, true),
-          timing(dram::Geometry::dimmDefault(),
-                 dram::TimingParams::ddr5_3200()),
-          oltp(db, GetParam(), bw, timing, 31),
-          engine(db, OlapConfig::pushtapDimm())
-    {
-        for (int i = 0; i < 40; ++i)
-            oltp.executeMixed();
-        engine.prepareSnapshot(db.now());
-        testsupport::RefTables tables(db);
-        for (const auto &q : workload::chExecutablePlans())
-            want.push_back(referenceAnswer(tables, q.plan));
-        // In-flight rows: invisible to the snapshot, present in the
-        // delta region the build tasks walk.
-        for (int i = 0; i < 10; ++i)
-            oltp.executeMixed();
-    }
-
-    Database db;
-    format::BandwidthModel bw;
-    dram::BatchTimingModel timing;
-    TpccEngine oltp;
-    OlapEngine engine;
-    /** Reference answer per chExecutablePlans() entry, at the
-     *  snapshot. */
-    std::vector<RefAnswer> want;
-};
-
-TEST_P(ParallelBuildTest, BuildPlansMatchReferenceAcrossWorkersAndShards)
-{
-    const std::uint32_t hw = WorkerPool::hardwareWorkers();
-    for (const std::uint32_t workers : {1u, 2u, 4u, hw}) {
-        WorkerPool pool(workers);
-        for (const std::uint32_t shards : {1u, 2u, 4u}) {
-            ExecOptions opts;
-            opts.shards = shards;
-            opts.workers = workers;
-            opts.pool = workers > 1 ? &pool : nullptr;
-            const auto &plans = workload::chExecutablePlans();
-            for (std::size_t p = 0; p < plans.size(); ++p) {
-                const auto &plan = plans[p].plan;
-                if (plan.joins.empty() && plan.subqueries.empty())
-                    continue;
-                const auto what = plan.name + " w" +
-                                  std::to_string(workers) + " s" +
-                                  std::to_string(shards);
-                expectExecution(executePlan(db, plan, opts), want[p],
-                                what);
-            }
-        }
-    }
-}
-
-TEST_P(ParallelBuildTest, ForcedScalarDispatchStaysByteIdentical)
-{
-    // Parallel builds must not depend on the SIMD kernels: force the
-    // scalar reference kernels and sweep the aggressive corner.
-    ScalarGuard g(true);
-    WorkerPool pool(4);
-    ExecOptions opts;
-    opts.shards = 4;
-    opts.workers = 4;
-    opts.pool = &pool;
-    const auto &plans = workload::chExecutablePlans();
-    for (std::size_t p = 0; p < plans.size(); ++p)
-        expectExecution(executePlan(db, plans[p].plan, opts), want[p],
-                        plans[p].plan.name + " forced-scalar");
-}
-
-TEST_P(ParallelBuildTest, MorselRowsSweepIsBuildInvariant)
-{
-    WorkerPool pool(4);
-    for (const std::uint32_t morsel : {256u, 2048u, 8192u}) {
-        ExecOptions opts;
-        opts.shards = 4;
-        opts.workers = 4;
-        opts.morselRows = morsel;
-        opts.pool = &pool;
-        const auto &plans = workload::chExecutablePlans();
-        for (std::size_t p = 0; p < plans.size(); ++p) {
-            const auto &plan = plans[p].plan;
-            if (plan.joins.empty() && plan.subqueries.empty())
-                continue;
-            expectExecution(executePlan(db, plan, opts), want[p],
-                            plan.name + " morsel " +
-                                std::to_string(morsel));
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllFormats, ParallelBuildTest,
-    ::testing::Values(InstanceFormat::Unified,
-                      InstanceFormat::RowStore,
-                      InstanceFormat::ColumnStore),
-    [](const ::testing::TestParamInfo<InstanceFormat> &info)
-        -> std::string {
-        switch (info.param) {
-          case InstanceFormat::Unified: return "Unified";
-          case InstanceFormat::RowStore: return "RowStore";
-          case InstanceFormat::ColumnStore: return "ColumnStore";
-        }
-        return "Unknown";
-    });
 
 /**
  * Bit-identity of the parallel snapshot/defrag passes: the modelled

@@ -20,7 +20,6 @@ namespace {
 using testsupport::expectExecution;
 using testsupport::expectRows;
 using testsupport::referenceAnswer;
-using testsupport::RefAnswer;
 using txn::Database;
 using workload::ChTable;
 using txn::DatabaseConfig;
@@ -40,97 +39,6 @@ smallConfig()
     cfg.insertHeadroom = 1.0;
     return cfg;
 }
-
-/**
- * The workers x shards sweep of the acceptance criteria: every
- * executable catalog plan, every InstanceFormat, workers {1, 2, 4,
- * hardware} x shards {1, 2, 4} — all byte-identical to the
- * reference executor, whose answers the fixture computes once per
- * plan.
- */
-class ParallelExecTest
-    : public ::testing::TestWithParam<InstanceFormat>
-{
-  protected:
-    ParallelExecTest()
-        : db(smallConfig()),
-          bw(8, 8, true),
-          timing(dram::Geometry::dimmDefault(),
-                 dram::TimingParams::ddr5_3200()),
-          oltp(db, GetParam(), bw, timing, 29),
-          engine(db, OlapConfig::pushtapDimm())
-    {
-        for (int i = 0; i < 40; ++i)
-            oltp.executeMixed();
-        engine.prepareSnapshot(db.now());
-        testsupport::RefTables tables(db);
-        for (const auto &q : workload::chExecutablePlans())
-            want.push_back(referenceAnswer(tables, q.plan));
-    }
-
-    Database db;
-    format::BandwidthModel bw;
-    dram::BatchTimingModel timing;
-    TpccEngine oltp;
-    OlapEngine engine;
-    /** Reference answer per chExecutablePlans() entry. */
-    std::vector<RefAnswer> want;
-};
-
-TEST_P(ParallelExecTest, AllPlansMatchReferenceAcrossWorkersAndShards)
-{
-    const std::uint32_t hw = WorkerPool::hardwareWorkers();
-    for (const std::uint32_t workers : {1u, 2u, 4u, hw}) {
-        WorkerPool pool(workers);
-        for (const std::uint32_t shards : {1u, 2u, 4u}) {
-            ExecOptions opts;
-            opts.shards = shards;
-            opts.workers = workers;
-            opts.pool = workers > 1 ? &pool : nullptr;
-            const auto &plans = workload::chExecutablePlans();
-            for (std::size_t p = 0; p < plans.size(); ++p) {
-                const auto what = plans[p].plan.name + " w" +
-                                  std::to_string(workers) + " s" +
-                                  std::to_string(shards);
-                expectExecution(executePlan(db, plans[p].plan, opts),
-                                want[p], what);
-            }
-        }
-    }
-}
-
-TEST_P(ParallelExecTest, MorselRowsSweepIsResultInvariant)
-{
-    WorkerPool pool(2);
-    for (const std::uint32_t morsel : {256u, 2048u, 8192u}) {
-        ExecOptions opts;
-        opts.shards = 2;
-        opts.workers = 2;
-        opts.morselRows = morsel;
-        opts.pool = &pool;
-        const auto &plans = workload::chExecutablePlans();
-        for (std::size_t p = 0; p < plans.size(); ++p)
-            expectExecution(executePlan(db, plans[p].plan, opts),
-                            want[p],
-                            plans[p].plan.name + " morsel " +
-                                std::to_string(morsel));
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllFormats, ParallelExecTest,
-    ::testing::Values(InstanceFormat::Unified,
-                      InstanceFormat::RowStore,
-                      InstanceFormat::ColumnStore),
-    [](const ::testing::TestParamInfo<InstanceFormat> &info)
-        -> std::string {
-        switch (info.param) {
-          case InstanceFormat::Unified: return "Unified";
-          case InstanceFormat::RowStore: return "RowStore";
-          case InstanceFormat::ColumnStore: return "ColumnStore";
-        }
-        return "Unknown";
-    });
 
 // ---- the FlatTable family vs the reference executor ---------------
 
@@ -402,11 +310,6 @@ TEST_F(ShardPricingTest, SingleShardDecompositionUnchangedByWorkers)
 
 TEST_F(ShardPricingTest, ShardBytesComposeAdditively)
 {
-    // The optimizer prices shard counts independently, so its greedy
-    // placement may diverge between the two engines; this test pins
-    // the hand-built decomposition relation only.
-    if (OlapConfig::optimizeForcedByEnv())
-        GTEST_SKIP() << "optimizer forced on";
     OlapEngine one(db, config(1, 1));
     OlapEngine four(db, config(4, 2));
     for (const auto &q : workload::chExecutablePlans()) {
